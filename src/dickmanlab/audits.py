@@ -2,15 +2,17 @@
 
 Every left-hand side here comes from the exact DP distributions, never
 from simulation.  Each audit reports AuditRow records (identifiers, lhs,
-envelope, ratio); the calibration entry points compute the smallest
-multiplicative constant making each bound hold on the versioned grids in
-config, for storage in the golden file.
+envelope, ratio).  AUDITS holds one record per golden constant: its
+default grid from config, its rows and the solver for the smallest
+constant making the bound hold there.  run_calibration and the CLI's
+golden gate both go through it.
 """
 from __future__ import annotations
 
 import math
 from dataclasses import dataclass, field
 from functools import lru_cache
+from typing import Callable
 
 import numpy as np
 
@@ -26,7 +28,8 @@ from .exact_dist import (
     power_sum_scan,
     prob_at,
 )
-from .spectral import Envelope, chi, g_envelope, gamma_mn, l2_cf_limit, phi_T, phi_dickman
+from .spectral import (Envelope, chi, f_envelope, g_envelope, gamma_mn, l2_cf_limit, phi_T,
+                       phi_dickman)
 
 
 @dataclass(frozen=True)
@@ -47,12 +50,6 @@ class AuditRow:
         if math.isnan(self.ratio):
             r = self.lhs / self.envelope if self.envelope > 0 else float("inf")
             object.__setattr__(self, "ratio", r)
-
-    FIELDS = ("label", "m", "n", "x", "kappa_m", "kappa_n", "lhs", "envelope", "ratio")
-
-    def astuple(self):
-        return (self.label, self.m, self.n, self.x, self.kappa_m, self.kappa_n,
-                self.lhs, self.envelope, self.ratio)
 
 
 @lru_cache(maxsize=64)
@@ -106,8 +103,7 @@ def w1_rows(m: int, n: int, c_const: float = 1.0) -> list[AuditRow]:
     rows = []
     for t, v in zip(ts, vals):
         lhs = abs(v - phi_dickman(float(t)))
-        f_env = math.expm1(c_const * t * t * env._bracket)
-        rows.append(AuditRow("w1", m, n, float(t), 0, 0, lhs, f_env))
+        rows.append(AuditRow("w1", m, n, float(t), 0, 0, lhs, f_envelope(env, t)))
     return rows
 
 
@@ -197,66 +193,88 @@ def covariance_audit(kappa: KappaSeq, pairs, c_const: float = 1.0,
 def gamma_kernel_sup(m: int, n: int, u_points: int = 10001) -> float:
     """sup over a u grid of |gamma_{m,n}(u)| (n-m)/(1 + log(n/m))."""
     us = np.linspace(0.0, math.pi, u_points)  # |gamma(-u)| = |gamma(u)|
-    ks = np.arange(m + 1, n + 1, dtype=float)
-    e = np.exp(1j * np.outer(us, ks))
-    terms = e * (1.0 - e) / (ks - 1.0 + e)
-    sup = float(np.abs(terms.sum(axis=1)).max() / (n - m))
+    sup = float(np.abs(gamma_mn(m, n, us)).max())
     return sup * (n - m) / (1.0 + math.log(n / m))
 
 
-def run_calibration(table: RhoTable) -> dict[str, float]:
-    """Smallest constants making every audited bound hold on the grids.
+# ----------------------------------------------------------- audit registry
 
-    Envelope constants sit inside an exp, so they are solved pointwise
-    (the envelopes are increasing in C); purely multiplicative constants
-    are plain ratio maxima.
-    """
-    out: dict[str, float] = {}
+def _max_ratio(rows) -> float:
+    """Multiplicative constant: the largest lhs / envelope."""
+    return max((r.ratio for r in rows), default=0.0)
 
-    kappa1 = KappaSeq(1, mode="exact-multiple")
 
-    # point-estimate shape constant: max of lhs / envelope
-    out["stimabase"] = max(
-        stimabase_check(m, n, kappa1).ratio for m, n in config.stimabase_pairs()
-    )
+def _solve_w1(rows) -> float:
+    """cf-distance envelope: need expm1(C t^2 B) >= lhs, so C >= log1p(lhs)/(t^2 B)."""
+    return max((math.log1p(r.lhs) / (r.x * r.x * Envelope(r.m, r.n)._bracket)
+                for r in rows if r.x != 0.0), default=0.0)
 
-    # cf-distance envelope: need expm1(C t^2 B) >= lhs, so C >= log1p(lhs)/(t^2 B)
+
+def _solve_w2(rows) -> float:
+    """Kolmogorov envelope: g = expm1(C B L^2) + 1/L, only binds past 1/L."""
     need = 0.0
-    for m, n in config.W1_PAIRS:
-        for row in w1_rows(m, n):
-            t, lhs = row.x, row.lhs
-            if t != 0.0:
-                need = max(need, math.log1p(lhs) / (t * t * Envelope(m, n)._bracket))
-    out["w1"] = need
-
-    # Kolmogorov envelope: g = expm1(C B L^2) + 1/L, only binds past 1/L
-    need = 0.0
-    for m, n in config.W2_PAIRS:
-        lhs = w2_check(m, n, table).lhs
-        L = math.log(n / m)
-        excess = lhs - 1.0 / L
+    for r in rows:
+        L = math.log(r.n / r.m)
+        excess = r.lhs - 1.0 / L
         if excess > 0.0:
-            need = max(need, math.log1p(excess) / (Envelope(m, n)._bracket * L * L))
-    out["w2"] = need
+            need = max(need, math.log1p(excess) / (Envelope(r.m, r.n)._bracket * L * L))
+    return need
 
-    # error-kernel shape constant
-    out["gamma_kernel"] = max(
-        gamma_kernel_sup(m, n) for m, n in config.stimabase_pairs()
-    )
 
-    # covariance regimes across the configured slopes
-    diag = near = far = 0.0
-    for x in config.COV_X:
-        kx = KappaSeq(x, mode="exact-multiple" if float(x).is_integer() else "floor")
-        diag = max(diag, *(r.ratio for r in covariance_audit(
-            kx, config.cov_diag_pairs(), regime="diag")))
-        np_pairs = cov_near_pairs(x, config.COV_EPS)
-        if np_pairs:
-            near = max(near, *(r.ratio for r in covariance_audit(
-                kx, np_pairs, regime="near")))
-        far = max(far, *(r.ratio for r in covariance_audit(
-            kx, config.cov_far_pairs(), regime="far")))
-    out["cov_diag"], out["cov_near"], out["cov_far"] = diag, near, far
+@dataclass(frozen=True)
+class Audit:
+    """One calibrated bound, defined once for the calibration and the CLI.
+
+    ``pairs(x)`` is the default (m, n) grid at slope x, ``rows(pairs,
+    kappa, table)`` audits those cells, and ``solve(rows)`` is the smallest
+    constant making the bound hold on them.  Envelope constants sit inside
+    an exp, so they are solved pointwise (the envelopes are increasing in
+    C); purely multiplicative constants are ratio maxima.  The golden
+    constant is the largest solve over ``slopes``.
+    """
+
+    key: str
+    pairs: Callable[[float], list]
+    rows: Callable[..., list]
+    solve: Callable[[list], float]
+    slopes: tuple[float, ...] = (1.0,)
+
+
+def _gamma_kernel_rows(pairs, kappa, table) -> list[AuditRow]:
+    # gamma_kernel_sup is already normalised: its envelope is 1.
+    return [AuditRow("gamma_kernel", m, n, float("nan"), 0, 0, gamma_kernel_sup(m, n), 1.0)
+            for m, n in pairs]
+
+
+def _cov_audit(regime: str, grid) -> Audit:
+    return Audit(f"cov_{regime}", grid,
+                 lambda pairs, kappa, table: covariance_audit(kappa, pairs, regime=regime),
+                 _max_ratio, config.COV_X)
+
+
+AUDITS: dict[str, Audit] = {a.key: a for a in (
+    Audit("stimabase", lambda x: config.stimabase_pairs(),
+          lambda pairs, kappa, table: [stimabase_check(m, n, kappa) for m, n in pairs],
+          _max_ratio),
+    Audit("w1", lambda x: config.W1_PAIRS,
+          lambda pairs, kappa, table: [r for m, n in pairs for r in w1_rows(m, n)],
+          _solve_w1),
+    Audit("w2", lambda x: config.W2_PAIRS,
+          lambda pairs, kappa, table: [w2_check(m, n, table) for m, n in pairs],
+          _solve_w2),
+    Audit("gamma_kernel", lambda x: config.stimabase_pairs(), _gamma_kernel_rows, _max_ratio),
+    _cov_audit("diag", lambda x: config.cov_diag_pairs()),
+    _cov_audit("near", lambda x: cov_near_pairs(x, config.COV_EPS)),
+    _cov_audit("far", lambda x: config.cov_far_pairs()),
+)}
+
+
+def run_calibration(table: RhoTable) -> dict[str, float]:
+    """Smallest constants making every audited bound hold on the grids."""
+    out: dict[str, float] = {}
+    for key, audit in AUDITS.items():
+        out[key] = max(audit.solve(audit.rows(audit.pairs(x), KappaSeq(x), table))
+                       for x in audit.slopes)
     return out
 
 

@@ -9,9 +9,9 @@ from __future__ import annotations
 
 import argparse
 import json
-import math
 import os
 import sys
+from dataclasses import astuple, fields
 
 from . import audits, config, simulate
 from .cumulants import a_coeff, cumulant_explicit
@@ -69,21 +69,15 @@ def _int_list(text: str) -> list[int]:
 
 
 def _kappa(x: float, mode: str | None) -> KappaSeq:
-    if mode is None:
-        mode = "exact-multiple" if float(x).is_integer() else "floor"
     if x < 1.0:
         print(f"warning: x={x} < 1, kappa need not be strictly increasing",
               file=sys.stderr)
-    return KappaSeq(x, mode=mode)
+    return KappaSeq(x, mode=mode or "floor")
 
 
 def _table(args):
     return build_rho_table(x_max=getattr(args, "xmax", 30.0),
                            step=getattr(args, "step", 1e-3))
-
-
-def _audit_rows(rows):
-    return [r.astuple() for r in rows]
 
 
 def _golden_gate(args, name: str, constant: float) -> int:
@@ -131,27 +125,18 @@ def cmd_llt_table(args) -> int:
     return EXIT_OK
 
 
-def cmd_stimabase(args) -> int:
-    kappa = _kappa(args.x, args.kappa_mode)
-    pairs = [(args.m, args.n)] if args.m is not None else config.stimabase_pairs()
-    rows = [audits.stimabase_check(m, n, kappa) for m, n in pairs]
-    _emit(args, audits.AuditRow.FIELDS, _audit_rows(rows))
-    return _golden_gate(args, "stimabase", max(r.ratio for r in rows))
-
-
-def cmd_w2(args) -> int:
-    table = _table(args)
-    pairs = [(args.m, args.n)] if args.m is not None else config.W2_PAIRS
-    rows = [audits.w2_check(m, n, table) for m, n in pairs]
-    _emit(args, audits.AuditRow.FIELDS, _audit_rows(rows))
-    need = 0.0
-    from .spectral import Envelope
-    for r in rows:
-        L = math.log(r.n / r.m)
-        excess = r.lhs - 1.0 / L
-        if excess > 0.0:
-            need = max(need, math.log1p(excess) / (Envelope(r.m, r.n)._bracket * L * L))
-    return _golden_gate(args, "w2", need)
+def cmd_audit(args) -> int:
+    """stimabase, w2 and cov-audit: one registry audit's rows and golden gate."""
+    name = f"cov_{args.regime}" if args.command == "cov-audit" else args.command
+    audit = audits.AUDITS[name]
+    x = getattr(args, "x", 1.0)
+    kappa = _kappa(x, getattr(args, "kappa_mode", None))
+    pairs = [(args.m, args.n)] if args.m is not None else audit.pairs(x)
+    rows = audit.rows(pairs, kappa, _table(args))
+    _emit(args, [f.name for f in fields(audits.AuditRow)], [astuple(r) for r in rows])
+    if not rows:
+        raise ValueError(f"no {name} grid cells at x={x}")
+    return _golden_gate(args, name, audit.solve(rows))
 
 
 def cmd_zs(args) -> int:
@@ -170,21 +155,6 @@ def cmd_lemmino(args) -> int:
     _emit(args, ("m", "n", "x", "eps", "zero_probability"),
           [(args.m, args.n, args.x, args.eps, ok)])
     return EXIT_OK if ok else EXIT_REGRESSION
-
-
-def cmd_cov_audit(args) -> int:
-    kappa = _kappa(args.x, args.kappa_mode)
-    if args.m is not None:
-        pairs = [(args.m, args.n)]
-    elif args.regime == "diag":
-        pairs = config.cov_diag_pairs()
-    elif args.regime == "near":
-        pairs = audits.cov_near_pairs(args.x, config.COV_EPS)
-    else:
-        pairs = config.cov_far_pairs()
-    rows = audits.covariance_audit(kappa, pairs, regime=args.regime)
-    _emit(args, audits.AuditRow.FIELDS, _audit_rows(rows))
-    return _golden_gate(args, f"cov_{args.regime}", max(r.ratio for r in rows))
 
 
 def cmd_cumulants(args) -> int:
@@ -231,7 +201,12 @@ def cmd_dispersion(args) -> int:
 
 # -------------------------------------------------------------------- parser
 
-def _add_common(p, golden=False, sim=False):
+def _add_common(p, kappa=False, table=False, golden=False, sim=False):
+    if kappa:
+        p.add_argument("--kappa-mode", choices=("floor", "round", "exact-multiple"))
+    if table:
+        p.add_argument("--xmax", type=float, default=30.0)
+        p.add_argument("--step", type=float, default=1e-3)
     p.add_argument("--format", choices=("csv", "json"), default="csv")
     p.add_argument("--output", help="output file (relative paths resolve "
                                     "against $DICKMANLAB_OUTDIR)")
@@ -251,9 +226,7 @@ def build_parser() -> argparse.ArgumentParser:
     p = sub.add_parser("rho", help="Dickman rho, density and CDF values")
     p.add_argument("--x", type=lambda s: [float(v) for v in s.split(",")],
                    required=True)
-    p.add_argument("--xmax", type=float, default=30.0)
-    p.add_argument("--step", type=float, default=1e-3)
-    _add_common(p)
+    _add_common(p, table=True)
     p.set_defaults(func=cmd_rho)
 
     p = sub.add_parser("pmf", help="exact law of the weighted Bernoulli sum")
@@ -266,33 +239,25 @@ def build_parser() -> argparse.ArgumentParser:
     p = sub.add_parser("llt-table", help="point-probability convergence table")
     p.add_argument("--x", type=float, default=1.0)
     p.add_argument("--n", type=_int_list, default=list(config.LLT_N_LIST))
-    p.add_argument("--kappa-mode", choices=("floor", "round", "exact-multiple"))
-    p.add_argument("--xmax", type=float, default=30.0)
-    p.add_argument("--step", type=float, default=1e-3)
-    _add_common(p)
+    _add_common(p, kappa=True, table=True)
     p.set_defaults(func=cmd_llt_table)
 
     p = sub.add_parser("stimabase", help="point estimate vs window-mass audit")
     p.add_argument("--x", type=float, default=1.0)
     p.add_argument("--m", type=int)
     p.add_argument("--n", type=int)
-    p.add_argument("--kappa-mode", choices=("floor", "round", "exact-multiple"))
-    _add_common(p, golden=True)
-    p.set_defaults(func=cmd_stimabase)
+    _add_common(p, kappa=True, golden=True)
+    p.set_defaults(func=cmd_audit)
 
     p = sub.add_parser("w2", help="Kolmogorov distance vs envelope audit")
     p.add_argument("--m", type=int)
     p.add_argument("--n", type=int)
-    p.add_argument("--xmax", type=float, default=30.0)
-    p.add_argument("--step", type=float, default=1e-3)
-    _add_common(p, golden=True)
-    p.set_defaults(func=cmd_w2)
+    _add_common(p, table=True, golden=True)
+    p.set_defaults(func=cmd_audit)
 
     p = sub.add_parser("zs", help="L2 characteristic-function integral checkpoints")
     p.add_argument("--n", type=_int_list, default=list(config.ZS_N_LIST))
-    p.add_argument("--xmax", type=float, default=30.0)
-    p.add_argument("--step", type=float, default=1e-3)
-    _add_common(p)
+    _add_common(p, table=True)
     p.set_defaults(func=cmd_zs)
 
     p = sub.add_parser("lemmino", help="zero-probability band check")
@@ -300,8 +265,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--eps", type=float, required=True)
     p.add_argument("--m", type=int, required=True)
     p.add_argument("--n", type=int, required=True)
-    p.add_argument("--kappa-mode", choices=("floor", "round", "exact-multiple"))
-    _add_common(p)
+    _add_common(p, kappa=True)
     p.set_defaults(func=cmd_lemmino)
 
     p = sub.add_parser("cov-audit", help="covariance bound audit by regime")
@@ -309,9 +273,8 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--regime", choices=("diag", "near", "far"), default="far")
     p.add_argument("--m", type=int)
     p.add_argument("--n", type=int)
-    p.add_argument("--kappa-mode", choices=("floor", "round", "exact-multiple"))
-    _add_common(p, golden=True)
-    p.set_defaults(func=cmd_cov_audit)
+    _add_common(p, kappa=True, golden=True)
+    p.set_defaults(func=cmd_audit)
 
     p = sub.add_parser("cumulants", help="exact cumulant polynomial tables")
     p.add_argument("--n", type=int, required=True)
@@ -320,8 +283,7 @@ def build_parser() -> argparse.ArgumentParser:
 
     p = sub.add_parser("aslt", help="per-path log-average simulation")
     p.add_argument("--x", type=float, default=1.0)
-    p.add_argument("--kappa-mode", choices=("floor", "round", "exact-multiple"))
-    _add_common(p, sim=True)
+    _add_common(p, kappa=True, sim=True)
     p.set_defaults(func=cmd_aslt)
 
     p = sub.add_parser("estimate-gamma", help="Euler constant estimator")
@@ -338,8 +300,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--N", type=_int_list, default=[10**4, 10**6])
     p.add_argument("--seed", type=int, default=20260823)
     p.add_argument("--paths", type=int, default=32)
-    p.add_argument("--format", choices=("csv", "json"), default="csv")
-    p.add_argument("--output")
+    _add_common(p)
     p.set_defaults(func=cmd_dispersion)
 
     return ap
@@ -348,9 +309,7 @@ def build_parser() -> argparse.ArgumentParser:
 def main(argv=None) -> int:
     ap = build_parser()
     args = ap.parse_args(argv)
-    if args.command in ("stimabase", "w2", "cov-audit") \
-            and getattr(args, "m", None) is not None \
-            and getattr(args, "n", None) is None:
+    if args.func is cmd_audit and args.m is not None and args.n is None:
         ap.error("--m requires --n")
     try:
         return args.func(args)

@@ -13,7 +13,7 @@ that table.  Built tables are immutable and safe to share across threads.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 
@@ -57,17 +57,20 @@ def _interp(vals: np.ndarray, nodes_per_unit: int, pos: np.ndarray) -> np.ndarra
     return w0 * vals[lo] + w1 * vals[lo + 1] + w2 * vals[lo + 2] + w3 * vals[lo + 3]
 
 
-@dataclass
+@dataclass(frozen=True)
 class RhoTable:
-    """Dense grid of Dickman rho values with cached cumulative integrals."""
+    """Dense grid of Dickman rho values with the cumulative integrals of rho and rho^2."""
 
     x_max: float
     step: float
     values: np.ndarray
+    cum_rho: np.ndarray
+    cum_rho_sq: np.ndarray
     gamma_const: float = EULER_GAMMA
-    _nodes_per_unit: int = field(default=0, repr=False)
-    _cum_rho: np.ndarray | None = field(default=None, repr=False)
-    _cum_rho_sq: np.ndarray | None = field(default=None, repr=False)
+
+    @property
+    def nodes_per_unit(self) -> int:
+        return round(1.0 / self.step)
 
     def _check_range(self, x: float, what: str = "x") -> None:
         if not np.isfinite(x) or x < 0.0 or x > self.x_max * (1.0 + 1e-12):
@@ -75,31 +78,14 @@ class RhoTable:
                 f"{what}={x!r} outside tabulated range [0, {self.x_max}]"
             )
 
-    def _midpoint_values(self) -> np.ndarray:
-        """rho at step midpoints (j - 1/2)*step for j = 1..M."""
-        M = len(self.values) - 1
-        pos = np.arange(1, M + 1, dtype=float) - 0.5
-        return _interp(self.values, self._nodes_per_unit, pos)
 
-    def _cumulative(self, squared: bool) -> np.ndarray:
-        cached = self._cum_rho_sq if squared else self._cum_rho
-        if cached is not None:
-            return cached
-        h = self.step
-        M = len(self.values) - 1
-        g = self.values**2 if squared else self.values
-        g_mid = self._midpoint_values()
-        if squared:
-            g_mid = g_mid**2
-        incr = (h / 6.0) * (g[:-1] + 4.0 * g_mid + g[1:])
-        cum = np.empty(M + 1)
-        cum[0] = 0.0
-        np.cumsum(incr, out=cum[1:])
-        if squared:
-            self._cum_rho_sq = cum
-        else:
-            self._cum_rho = cum
-        return cum
+def _cumulative(g: np.ndarray, g_mid: np.ndarray, h: float) -> np.ndarray:
+    """Running per-step Simpson integral of node values g (g_mid at the midpoints)."""
+    incr = (h / 6.0) * (g[:-1] + 4.0 * g_mid + g[1:])
+    cum = np.empty(len(g))
+    cum[0] = 0.0
+    np.cumsum(incr, out=cum[1:])
+    return cum
 
 
 def build_rho_table(x_max: float = 30.0, step: float = 1e-3) -> RhoTable:
@@ -148,9 +134,9 @@ def build_rho_table(x_max: float = 30.0, step: float = 1e-3) -> RhoTable:
         vals[j] = vals[j0 - 1] - np.cumsum(incr)
         j0 = j[-1] + 1
 
-    table = RhoTable(x_max=x_max, step=h, values=vals)
-    table._nodes_per_unit = K
-    return table
+    mid = _interp(vals, K, np.arange(1, M + 1, dtype=float) - 0.5)
+    return RhoTable(x_max=x_max, step=h, values=vals, cum_rho=_cumulative(vals, mid, h),
+                    cum_rho_sq=_cumulative(vals**2, mid**2, h))
 
 
 def rho(table: RhoTable, x: float) -> float:
@@ -160,12 +146,11 @@ def rho(table: RhoTable, x: float) -> float:
         return 1.0
     if x <= 2.0:
         return 1.0 - math.log(x)
-    K = table._nodes_per_unit
     pos = x / table.step
     j = round(pos)
     if abs(pos - j) < 1e-9 * max(1.0, pos):
         return float(table.values[min(j, len(table.values) - 1)])
-    return float(_interp(table.values, K, np.array([pos]))[0])
+    return float(_interp(table.values, table.nodes_per_unit, np.array([pos]))[0])
 
 
 def dickman_density(table: RhoTable, x: float) -> float:
@@ -184,7 +169,7 @@ def rho_integral(table: RhoTable, upto: float) -> float:
     table._check_range(upto, "upto")
     if upto <= 0.0:
         raise DickmanRangeError(f"upto must be positive, got {upto!r}")
-    return _eval_cumulative(table, upto, squared=False)
+    return _eval_cumulative(table, table.cum_rho, upto)
 
 
 def rho_sq_integral(table: RhoTable, upto: float) -> float:
@@ -192,13 +177,12 @@ def rho_sq_integral(table: RhoTable, upto: float) -> float:
     table._check_range(upto, "upto")
     if upto <= 0.0:
         raise DickmanRangeError(f"upto must be positive, got {upto!r}")
-    return _eval_cumulative(table, upto, squared=True)
+    return _eval_cumulative(table, table.cum_rho_sq, upto)
 
 
-def _eval_cumulative(table: RhoTable, x: float, squared: bool) -> float:
-    cum = table._cumulative(squared)
+def _eval_cumulative(table: RhoTable, cum: np.ndarray, x: float) -> float:
     pos = x / table.step
     j = round(pos)
     if abs(pos - j) < 1e-9 * max(1.0, pos):
         return float(cum[min(j, len(cum) - 1)])
-    return float(_interp(cum, table._nodes_per_unit, np.array([pos]))[0])
+    return float(_interp(cum, table.nodes_per_unit, np.array([pos]))[0])

@@ -3,9 +3,11 @@
 Z_k are independent indicators with P(Z_k = 1) = 1/k.  The distribution
 is built by dynamic-programming convolution over the full integer support
 0..S, S = sum of the weights, so downstream power sums and Kolmogorov
-distances are exact relative to the DP.  Default arithmetic is double
-precision; an exact-rational mode (capped at n <= 64) exists purely as an
-oracle.
+distances are exact relative to the DP.  ``pmf`` and the scans share one
+in-place DP step; ``point_prob_scan`` caps the support at its largest
+target, which is exact because entry v depends only on entries <= v.
+Default arithmetic is double precision; an exact-rational mode (capped at
+n <= 64) exists purely as an oracle.
 """
 from __future__ import annotations
 
@@ -45,27 +47,29 @@ class KappaSeq:
         object.__setattr__(self, "x", x)
         object.__setattr__(self, "mode", mode)
 
-    def __call__(self, n: int) -> int:
+    def _kappa(self, n):
+        """The kappa formula, for an int n or an integer array alike."""
         p, q = self.x.numerator, self.x.denominator
-        if self.mode == "floor":
-            return (p * n) // q
         if self.mode == "round":
             return (2 * p * n + q) // (2 * q)
-        if (p * n) % q != 0:
-            raise ValueError(f"x*n is not an integer at n={n} for exact-multiple mode")
+        if self.mode == "exact-multiple" and np.any((p * n) % q != 0):
+            raise ValueError("x*n is not an integer for exact-multiple mode")
         return (p * n) // q
 
+    def __call__(self, n: int) -> int:
+        return self._kappa(n)
+
     def values(self, ns: Iterable[int]) -> np.ndarray:
-        """Vectorized kappa over many indices (integer arithmetic throughout)."""
+        """Vectorized kappa over many indices (integer arithmetic throughout).
+
+        int64 is used only while 2*p*max|n| + q < 2^63; past that the
+        products are formed in exact Python ints, so they never wrap.
+        """
         ns = np.asarray(ns if isinstance(ns, np.ndarray) else list(ns), dtype=np.int64)
         p, q = self.x.numerator, self.x.denominator
-        if self.mode == "floor":
-            return (p * ns) // q
-        if self.mode == "round":
-            return (2 * p * ns + q) // (2 * q)
-        if np.any((p * ns) % q != 0):
-            raise ValueError("x*n is not an integer somewhere in exact-multiple mode")
-        return (p * ns) // q
+        if ns.size and 2 * p * max(int(ns.max()), -int(ns.min())) + q >= 2**63:
+            return self._kappa(ns.astype(object)).astype(np.int64)
+        return self._kappa(ns)
 
     @property
     def x_float(self) -> float:
@@ -98,22 +102,37 @@ class Pmf:
                 w.writerow([v, format(float(p), ".17g")])
 
 
-def pmf(m: int, n: int, mode: str = "float") -> Pmf:
-    """Exact law of T_m^n by DP convolution over k = m+1 .. n.
+def _steps(m: int, n: int, cap: int | None = None):
+    """Float DP over k = m+1 .. n, in place; yields (k, law of T_m^k on 0..top).
 
     Update per weight k:  new[v] = old[v]*(1 - 1/k) + old[v-k]*(1/k).
+    The support top is S_k = sum_{j=m+1}^k j, or cap if smaller: entry v
+    depends only on entries <= v, so truncation leaves every kept entry
+    exact.  The yielded view is overwritten by the next step.
     """
+    size = (n * (n + 1) - m * (m + 1)) // 2
+    if cap is not None:
+        size = min(size, cap)
+    probs = np.zeros(size + 1)
+    probs[0] = 1.0
+    top = 0
+    for k in range(m + 1, n + 1):
+        p = 1.0 / k
+        new_top = min(top + k, size)
+        moved = probs[: max(new_top - k + 1, 0)] * p
+        probs[: top + 1] *= 1.0 - p
+        probs[k : new_top + 1] += moved
+        top = new_top
+        yield k, probs[: top + 1]
+
+
+def pmf(m: int, n: int, mode: str = "float") -> Pmf:
+    """Exact law of T_m^n by DP convolution over k = m+1 .. n."""
     if not (0 <= m < n):
         raise ValueError(f"need 0 <= m < n, got m={m}, n={n}")
     if mode == "float":
-        probs = np.array([1.0])
-        for k in range(m + 1, n + 1):
-            p = 1.0 / k
-            new = np.empty(len(probs) + k)
-            np.multiply(probs, 1.0 - p, out=new[: len(probs)])
-            new[len(probs):] = 0.0
-            new[k:] += probs * p
-            probs = new
+        for _, probs in _steps(m, n):
+            pass
         return Pmf(m=m, n=n, probs=probs, mode="float")
     if mode == "exact":
         if n > EXACT_MODE_CAP:
@@ -204,18 +223,10 @@ def point_prob_scan(kappa: KappaSeq, n_max: int) -> np.ndarray:
     if n_max < 1:
         raise ValueError(f"n_max must be >= 1, got {n_max}")
     targets = kappa.values(range(1, n_max + 1))
-    cap = int(targets.max())
-    probs = np.zeros(cap + 1)
-    probs[0] = 1.0
     out = np.empty(n_max)
-    for k in range(1, n_max + 1):
-        p = 1.0 / k
-        new = probs * (1.0 - p)
-        if k <= cap:
-            new[k:] += probs[: cap + 1 - k] * p
-        probs = new
+    for k, law in _steps(0, n_max, cap=int(targets.max())):
         t = targets[k - 1]
-        out[k - 1] = probs[t] if t <= cap else 0.0
+        out[k - 1] = law[t] if t < len(law) else 0.0
     return out
 
 
@@ -224,19 +235,8 @@ def power_sum_scan(n_list: Sequence[int]) -> dict[int, float]:
     n_list = sorted(set(int(n) for n in n_list))
     if n_list[0] < 1:
         raise ValueError("all n must be >= 1")
-    probs = np.array([1.0])
-    out: dict[int, float] = {}
     want = set(n_list)
-    for k in range(1, n_list[-1] + 1):
-        p = 1.0 / k
-        new = np.empty(len(probs) + k)
-        np.multiply(probs, 1.0 - p, out=new[: len(probs)])
-        new[len(probs):] = 0.0
-        new[k:] += probs * p
-        probs = new
-        if k in want:
-            out[k] = float(np.dot(probs, probs))
-    return out
+    return {k: float(np.dot(law, law)) for k, law in _steps(0, n_list[-1]) if k in want}
 
 
 def cov_Y(x_seq: KappaSeq, m: int, n: int) -> float:

@@ -30,7 +30,6 @@ class PathEstimate:
     N: int
     hits: int
     log_avg: float
-    aux_hits: int = 0
 
 
 def _rng(seed: int, stream: int) -> np.random.Generator:
@@ -120,7 +119,7 @@ def estimate_rho(x: float, N: int, seeds) -> float:
 def dispersion_diagnostic(x: float, N_list, seeds) -> list[tuple[int, float]]:
     """Across-path standard deviation of the log-average at each horizon."""
     N_list = sorted(set(int(N) for N in N_list))
-    kappa = KappaSeq(x) if x != 1.0 else KappaSeq(1, mode="exact-multiple")
+    kappa = KappaSeq(x)
     top = N_list[-1]
     log_avgs = {N: [] for N in N_list}
     for i, s in enumerate(seeds):

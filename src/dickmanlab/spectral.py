@@ -78,14 +78,18 @@ def phi_dickman_abs2(t: float) -> float:
     return math.exp(-2.0 * val)
 
 
-def gamma_mn(m: int, n: int, u: float) -> complex:
-    """Error kernel (1/(n-m)) sum_{k=m+1}^n e^{iuk}(1-e^{iuk})/(k-1+e^{iuk})."""
+def gamma_mn(m: int, n: int, u) -> complex | np.ndarray:
+    """Error kernel (1/(n-m)) sum_{k=m+1}^n e^{iuk}(1-e^{iuk})/(k-1+e^{iuk}).
+
+    Accepts a scalar u or an array of u values.
+    """
     if not (2 <= m < n):
         raise ValueError(f"need 2 <= m < n, got m={m}, n={n}")
     ks = np.arange(m + 1, n + 1, dtype=float)
-    e = np.exp(1j * u * ks)
+    e = np.exp(1j * np.multiply.outer(u, ks))
     terms = e * (1.0 - e) / (ks - 1.0 + e)
-    return complex(terms.sum() / (n - m))
+    out = terms.sum(axis=-1) / (n - m)
+    return complex(out) if np.ndim(u) == 0 else out
 
 
 def gamma_series(m: int, n: int, t: float, J: int) -> complex:

@@ -1,9 +1,14 @@
+import hashlib
 import json
 import math
+from pathlib import Path
 
 import pytest
 
+from dickmanlab import audits, config
 from dickmanlab.cli import main
+
+DIGESTS = Path(__file__).resolve().parents[1] / "perfbench" / "cli_digests.json"
 
 
 def run(capsys, *argv):
@@ -66,10 +71,15 @@ def test_lemmino_exit_codes(capsys):
 
 
 def test_golden_check_passes(capsys):
-    code, _ = run(capsys, "stimabase", "--golden", "check")
-    assert code == 0
-    code, _ = run(capsys, "cov-audit", "--regime", "diag", "--golden", "check")
-    assert code == 0
+    # The audit commands' reports are byte-identical to the recorded ones.
+    digests = json.loads(DIGESTS.read_text())
+    for argv in (("stimabase",), ("w2",), ("cov-audit", "--regime", "diag"),
+                 ("cov-audit", "--regime", "near"), ("cov-audit", "--regime", "far")):
+        argv += ("--golden", "check")
+        code, out = run(capsys, *argv)
+        assert code == 0
+        assert hashlib.sha256(out.encode()).hexdigest() == digests[" ".join(argv)]
+    assert set(audits.AUDITS) == set(config.load_golden())
 
 
 def test_usage_errors(capsys):
@@ -81,6 +91,8 @@ def test_usage_errors(capsys):
     assert exc.value.code == 2
     code, _ = run(capsys, "pmf", "--n", "70", "--mode", "exact")
     assert code == 2  # beyond the exact-mode cap
+    code, _ = run(capsys, "cov-audit", "--regime", "near", "--x", "2.4")
+    assert code == 2  # no near-diagonal pair on the m grid at this slope
 
 
 def test_zs_command(capsys):

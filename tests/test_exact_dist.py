@@ -5,7 +5,7 @@ from fractions import Fraction
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from dickmanlab.exact_dist import (
@@ -153,6 +153,17 @@ def test_kappa_tracks_slope(x, n):
     for mode in ("floor", "round"):
         k = KappaSeq(x, mode=mode)
         assert abs(k(n) / n - k.x_float) <= 1.0 / n + 1e-12
+
+
+@given(x=st.integers(min_value=10**16, max_value=10**17 - 1).map(lambda d: d / 10**16),
+       ns=st.lists(st.integers(min_value=1, max_value=10**6), min_size=1, max_size=20),
+       mode=st.sampled_from(["floor", "round"]))
+@example(x=2.718281828459045, ns=[10**5], mode="floor")
+@settings(max_examples=60, deadline=None)
+def test_kappa_values_match_scalar_for_long_slopes(x, ns, mode):
+    # A 17-digit slope pins to a numerator near 10^16, so p * n passes 2^63.
+    k = KappaSeq(x, mode=mode)
+    assert list(k.values(ns)) == [k(n) for n in ns]
 
 
 @given(m=st.integers(min_value=0, max_value=6), span=st.integers(min_value=1, max_value=8))

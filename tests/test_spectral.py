@@ -78,6 +78,8 @@ def test_gamma_mn_zero_and_resummation():
             for k in range(3, 11)
         ) / 8
         assert abs(gamma_mn(2, 10, u) - oracle) < 1e-14
+    us = np.array([0.0, 1.0, -0.4, 3.0])
+    assert list(gamma_mn(2, 10, us)) == [gamma_mn(2, 10, float(u)) for u in us]
     with pytest.raises(ValueError):
         gamma_mn(1, 10, 0.5)
 
