@@ -11,7 +11,6 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass, field
-from functools import lru_cache
 from typing import Callable
 
 import numpy as np
@@ -20,13 +19,12 @@ from . import config
 from .dickman import RhoTable, dickman_density
 from .exact_dist import (
     KappaSeq,
-    Pmf,
+    _law,
     cov_Y,
     kolmogorov_distance,
     pmf,
     point_prob_scan,
     power_sum_scan,
-    prob_at,
 )
 from .spectral import (Envelope, chi, f_envelope, g_envelope, gamma_mn, l2_cf_limit, phi_T,
                        phi_dickman)
@@ -52,11 +50,6 @@ class AuditRow:
             object.__setattr__(self, "ratio", r)
 
 
-@lru_cache(maxsize=64)
-def _pmf_cached(m: int, n: int) -> Pmf:
-    return pmf(m, n)
-
-
 def llt_table(kappa: KappaSeq, n_list, table: RhoTable) -> list[AuditRow]:
     """Point-probability convergence: lhs = n P(T_n = kappa_n), target e^-g rho(x).
 
@@ -77,7 +70,7 @@ def stimabase_check(m: int, n: int, kappa: KappaSeq) -> AuditRow:
     """Point probability against a window mass, envelope (1+log(n/m))/sqrt(n-m).
 
     lhs = | d P(T_m^n = d) - P(d - n < T_m^n <= d - (m+1)) |  with
-    d = kappa_n - kappa_m.
+    d = kappa_n - kappa_m; only the law on 0..d, all the check reads, is built.
     """
     if not (2 <= m < n):
         raise ValueError(f"need 2 <= m < n, got m={m}, n={n}")
@@ -85,12 +78,12 @@ def stimabase_check(m: int, n: int, kappa: KappaSeq) -> AuditRow:
     d = kn - km
     if d <= 0:
         raise ValueError(f"degenerate target: kappa_n - kappa_m = {d}")
-    dist = _pmf_cached(m, n)
-    probs = np.asarray(dist.probs, dtype=float)
+    probs = _law(m, n, cap=d)
     lo = max(d - n + 1, 0)  # first value strictly above d - n
     hi = min(d - (m + 1), len(probs) - 1)
     window = float(probs[lo : hi + 1].sum()) if hi >= lo else 0.0
-    lhs = abs(d * prob_at(dist, d) - window)
+    point = float(probs[d]) if d < len(probs) else 0.0
+    lhs = abs(d * point - window)
     env = (1.0 + math.log(n / m)) / math.sqrt(n - m)
     return AuditRow("stimabase", m, n, kappa.x_float, km, kn, lhs, env)
 
@@ -110,7 +103,7 @@ def w1_rows(m: int, n: int, c_const: float = 1.0) -> list[AuditRow]:
 def w2_check(m: int, n: int, table: RhoTable, c_const: float = 1.0) -> AuditRow:
     """Kolmogorov distance of T_m^n/(n-m) to the Dickman CDF vs g envelope."""
     env = Envelope(m, n, c_const)
-    lhs = kolmogorov_distance(_pmf_cached(m, n), table)
+    lhs = kolmogorov_distance(pmf(m, n), table)
     return AuditRow("w2", m, n, float("nan"), 0, 0, lhs, g_envelope(env))
 
 
@@ -133,7 +126,9 @@ def lemmino_check(x: float, eps: float, m: int, n: int, kappa: KappaSeq | None =
     """True iff P(T_m^n = kappa_n - kappa_m) is exactly zero.
 
     Inside the band m < n < sigma*m the increment target lands in the
-    support gap [1, m], so the probability vanishes identically.
+    support gap [1, m], so the probability vanishes identically.  Exact:
+    bit v of ``reach`` is set iff some subset of the weights m+1..n sums
+    to v, and with m >= 1 every subset has positive probability.
     """
     if kappa is None:
         kappa = KappaSeq(x)
@@ -146,7 +141,10 @@ def lemmino_check(x: float, eps: float, m: int, n: int, kappa: KappaSeq | None =
     d = kappa(n) - kappa(m)
     if d < 0:
         raise ValueError(f"kappa_n - kappa_m = {d} < 0")
-    return prob_at(_pmf_cached(m, n), d) == 0.0
+    reach, mask = 1, (1 << (d + 1)) - 1
+    for k in range(m + 1, n + 1):
+        reach = (reach | reach << k) & mask
+    return not reach >> d & 1
 
 
 def cov_near_pairs(x: float, eps: float) -> list[tuple[int, int]]:

@@ -132,7 +132,8 @@ def cmd_audit(args) -> int:
     x = getattr(args, "x", 1.0)
     kappa = _kappa(x, getattr(args, "kappa_mode", None))
     pairs = [(args.m, args.n)] if args.m is not None else audit.pairs(x)
-    rows = audit.rows(pairs, kappa, _table(args))
+    table = _table(args) if hasattr(args, "xmax") else None  # only w2 reads it
+    rows = audit.rows(pairs, kappa, table)
     _emit(args, [f.name for f in fields(audits.AuditRow)], [astuple(r) for r in rows])
     if not rows:
         raise ValueError(f"no {name} grid cells at x={x}")

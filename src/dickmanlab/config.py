@@ -46,7 +46,6 @@ W2_PAIRS = ((2, 40), (2, 400), (5, 50), (10, 200), (20, 400))
 # Covariance audit: slopes and the (m, n) pair families per regime.
 COV_M = (2, 3, 5, 10, 20, 50)
 COV_X = (1.0, 2.0)
-COV_X_FULL = (0.5, 1.0, 1.5, 2.0, 3.0)
 COV_FAR_FACTORS = (2, 4, 10)
 COV_N_CAP = 800
 COV_EPS = 0.2

@@ -13,8 +13,6 @@ from fractions import Fraction
 from functools import lru_cache
 from math import comb
 
-import numpy as np
-
 
 def a_coeff(k: int, n: int) -> int:
     """Alternating binomial sum  sum_{j=0}^k (-1)^(j+1) C(k,j) j^n."""
@@ -53,9 +51,6 @@ class CumulantPoly:
         for c in reversed(self.coeffs):
             acc = acc * x + c
         return acc
-
-    def eval_float(self, x: float) -> float:
-        return float(np.polynomial.polynomial.polyval(x, np.array(self.coeffs, float)))
 
 
 def cumulant_explicit(n: int) -> CumulantPoly:

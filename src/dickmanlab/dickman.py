@@ -66,16 +66,18 @@ class RhoTable:
     values: np.ndarray
     cum_rho: np.ndarray
     cum_rho_sq: np.ndarray
-    gamma_const: float = EULER_GAMMA
 
     @property
     def nodes_per_unit(self) -> int:
         return round(1.0 / self.step)
 
-    def _check_range(self, x: float, what: str = "x") -> None:
-        if not np.isfinite(x) or x < 0.0 or x > self.x_max * (1.0 + 1e-12):
+    def _check_range(self, x, what: str = "x") -> None:
+        """Raise unless x (a float or an array of them) lies in [0, x_max]."""
+        x = np.asarray(x, dtype=float)
+        bad = ~np.isfinite(x) | (x < 0.0) | (x > self.x_max * (1.0 + 1e-12))
+        if bad.any():
             raise DickmanRangeError(
-                f"{what}={x!r} outside tabulated range [0, {self.x_max}]"
+                f"{what}={float(x[bad].flat[0])!r} outside tabulated range [0, {self.x_max}]"
             )
 
 
@@ -139,6 +141,16 @@ def build_rho_table(x_max: float = 30.0, step: float = 1e-3) -> RhoTable:
                     cum_rho_sq=_cumulative(vals**2, mid**2, h))
 
 
+def _lookup(table: RhoTable, vals: np.ndarray, x):
+    """vals at x (float or array): a node's value within 1e-9 of a node, else interpolated."""
+    pos = np.asarray(x, dtype=float) / table.step
+    j = np.rint(pos)
+    snap = np.abs(pos - j) < 1e-9 * np.maximum(1.0, pos)
+    out = np.where(snap, vals[np.minimum(j, len(vals) - 1).astype(np.int64)],
+                   _interp(vals, table.nodes_per_unit, pos))
+    return float(out) if out.ndim == 0 else out
+
+
 def rho(table: RhoTable, x: float) -> float:
     """Dickman rho(x), interpolated from the table; exactly 1 for x <= 1."""
     table._check_range(x)
@@ -146,22 +158,18 @@ def rho(table: RhoTable, x: float) -> float:
         return 1.0
     if x <= 2.0:
         return 1.0 - math.log(x)
-    pos = x / table.step
-    j = round(pos)
-    if abs(pos - j) < 1e-9 * max(1.0, pos):
-        return float(table.values[min(j, len(table.values) - 1)])
-    return float(_interp(table.values, table.nodes_per_unit, np.array([pos]))[0])
+    return _lookup(table, table.values, x)
 
 
 def dickman_density(table: RhoTable, x: float) -> float:
     """Dickman probability density exp(-gamma) * rho(x)."""
-    return math.exp(-table.gamma_const) * rho(table, x)
+    return math.exp(-EULER_GAMMA) * rho(table, x)
 
 
-def dickman_cdf(table: RhoTable, x: float) -> float:
-    """Dickman distribution function D(x) = exp(-gamma) * integral_0^x rho."""
+def dickman_cdf(table: RhoTable, x):
+    """Dickman distribution function D(x) = exp(-gamma) * integral_0^x rho, x a float or array."""
     table._check_range(x)
-    return math.exp(-table.gamma_const) * rho_integral(table, x) if x > 0.0 else 0.0
+    return math.exp(-EULER_GAMMA) * _lookup(table, table.cum_rho, x)
 
 
 def rho_integral(table: RhoTable, upto: float) -> float:
@@ -169,7 +177,7 @@ def rho_integral(table: RhoTable, upto: float) -> float:
     table._check_range(upto, "upto")
     if upto <= 0.0:
         raise DickmanRangeError(f"upto must be positive, got {upto!r}")
-    return _eval_cumulative(table, table.cum_rho, upto)
+    return _lookup(table, table.cum_rho, upto)
 
 
 def rho_sq_integral(table: RhoTable, upto: float) -> float:
@@ -177,12 +185,4 @@ def rho_sq_integral(table: RhoTable, upto: float) -> float:
     table._check_range(upto, "upto")
     if upto <= 0.0:
         raise DickmanRangeError(f"upto must be positive, got {upto!r}")
-    return _eval_cumulative(table, table.cum_rho_sq, upto)
-
-
-def _eval_cumulative(table: RhoTable, cum: np.ndarray, x: float) -> float:
-    pos = x / table.step
-    j = round(pos)
-    if abs(pos - j) < 1e-9 * max(1.0, pos):
-        return float(cum[min(j, len(cum) - 1)])
-    return float(_interp(cum, table.nodes_per_unit, np.array([pos]))[0])
+    return _lookup(table, table.cum_rho_sq, upto)

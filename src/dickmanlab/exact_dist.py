@@ -4,8 +4,9 @@ Z_k are independent indicators with P(Z_k = 1) = 1/k.  The distribution
 is built by dynamic-programming convolution over the full integer support
 0..S, S = sum of the weights, so downstream power sums and Kolmogorov
 distances are exact relative to the DP.  ``pmf`` and the scans share one
-in-place DP step; ``point_prob_scan`` caps the support at its largest
-target, which is exact because entry v depends only on entries <= v.
+in-place DP step.  Readers of a few low atoms (``point_prob_scan``,
+``cov_Y``, the stimabase audit) cap the support at the largest value they
+read, which is exact because entry v depends only on entries <= v.
 Default arithmetic is double precision; an exact-rational mode (capped at
 n <= 64) exists purely as an oracle.
 """
@@ -86,10 +87,6 @@ class Pmf:
     mode: str  # "float" | "exact"
 
     @property
-    def support_size(self) -> int:
-        return len(self.probs)
-
-    @property
     def span(self) -> int:
         return self.n - self.m
 
@@ -126,14 +123,25 @@ def _steps(m: int, n: int, cap: int | None = None):
         yield k, probs[: top + 1]
 
 
+def _law(m: int, n: int, cap: int | None = None) -> np.ndarray:
+    """Float law of T_m^n on 0..min(S, cap); the prefix of the full law, bit for bit."""
+    for _, probs in _steps(m, n, cap):
+        pass
+    return probs
+
+
+def _atom(m: int, n: int, v: int) -> float:
+    """P(T_m^n = v) from the law capped at v; zero off-support."""
+    law = _law(m, n, cap=max(v, 0))
+    return float(law[v]) if 0 <= v < len(law) else 0.0
+
+
 def pmf(m: int, n: int, mode: str = "float") -> Pmf:
     """Exact law of T_m^n by DP convolution over k = m+1 .. n."""
     if not (0 <= m < n):
         raise ValueError(f"need 0 <= m < n, got m={m}, n={n}")
     if mode == "float":
-        for _, probs in _steps(m, n):
-            pass
-        return Pmf(m=m, n=n, probs=probs, mode="float")
+        return Pmf(m=m, n=n, probs=_law(m, n), mode="float")
     if mode == "exact":
         if n > EXACT_MODE_CAP:
             raise ValueError(f"exact mode capped at n <= {EXACT_MODE_CAP}, got n={n}")
@@ -175,21 +183,17 @@ def kolmogorov_distance(dist: Pmf, table: RhoTable) -> float:
     distances measured here.
     """
     probs = np.asarray(dist.probs, dtype=float)
-    atoms = np.nonzero(probs)[0]
-    if table.x_max < min(15.0, atoms[-1] / dist.span):
+    atoms = np.flatnonzero(probs)
+    s = atoms / dist.span
+    if table.x_max < min(15.0, s[-1]):
         raise ValueError(
-            f"table x_max={table.x_max} too short for scaled support "
-            f"up to {atoms[-1] / dist.span:.3g}"
+            f"table x_max={table.x_max} too short for scaled support up to {s[-1]:.3g}"
         )
-    cdf_at = np.cumsum(probs)
-    best = 0.0
-    for v in atoms:
-        s = v / dist.span
-        d = dickman_cdf(table, s) if s <= table.x_max else 1.0
-        right = abs(cdf_at[v] - d)
-        left = abs((cdf_at[v] - probs[v]) - d)
-        best = max(best, right, left)
-    return best
+    right = np.cumsum(probs)[atoms]
+    d = np.ones_like(s)
+    inside = s <= table.x_max
+    d[inside] = dickman_cdf(table, s[inside])
+    return float(max(np.abs(right - d).max(), np.abs((right - probs[atoms]) - d).max()))
 
 
 def power_sum(dist: Pmf):
@@ -251,12 +255,12 @@ def cov_Y(x_seq: KappaSeq, m: int, n: int) -> float:
         raise ValueError(f"need 2 <= m <= n, got m={m}, n={n}")
     km = x_seq(m)
     if m == n:
-        p = prob_at(pmf(0, m), km)
+        p = _atom(0, m, km)
         return m * m * (p - p * p)
     kn = x_seq(n)
     if kn - km < 0:
         raise ValueError(f"kappa_n - kappa_m = {kn - km} < 0 at m={m}, n={n}")
-    pm = prob_at(pmf(0, m), km)
-    p_inc = prob_at(pmf(m, n), kn - km)
-    p_n = prob_at(pmf(0, n), kn)
+    pm = _atom(0, m, km)
+    p_inc = _atom(m, n, kn - km)
+    p_n = _atom(0, n, kn)
     return (m * pm) * (n * p_inc - n * p_n)

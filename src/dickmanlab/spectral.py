@@ -15,7 +15,7 @@ import numpy as np
 from scipy.integrate import quad
 
 from .cumulants import alpha_j
-from .dickman import RhoTable, rho_sq_integral
+from .dickman import EULER_GAMMA, RhoTable, rho_sq_integral
 from .exact_dist import KappaSeq, Pmf, power_sum
 
 
@@ -174,7 +174,7 @@ def l2_cf_limit(table: RhoTable) -> float:
     return (
         2.0
         * math.pi
-        * math.exp(-2.0 * table.gamma_const)
+        * math.exp(-2.0 * EULER_GAMMA)
         * rho_sq_integral(table, table.x_max)
     )
 

@@ -3,7 +3,7 @@ import math
 import pytest
 
 from dickmanlab import audits, config
-from dickmanlab.exact_dist import KappaSeq
+from dickmanlab.exact_dist import KappaSeq, pmf, prob_at
 
 KAPPA1 = KappaSeq(1, mode="exact-multiple")
 
@@ -37,6 +37,16 @@ def test_stimabase_row():
         audits.stimabase_check(5, 5, KAPPA1)
 
 
+def test_stimabase_reads_the_full_law_values():
+    # Built on 0..d only, the row equals the one read from the full law.
+    for m, n in ((2, 50), (5, 200), (20, 1000)):
+        r = audits.stimabase_check(m, n, KAPPA1)
+        probs = pmf(m, n).probs
+        d = r.kappa_n - r.kappa_m
+        window = float(probs[max(d - n + 1, 0): d - m].sum())
+        assert r.lhs == abs(d * prob_at(pmf(m, n), d) - window)
+
+
 def test_w2_rows(table):
     r = audits.w2_check(2, 40, table)
     assert 0.0 < r.lhs <= 1.0
@@ -63,6 +73,9 @@ def test_lemmino_inside_band():
     assert audits.lemmino_check(1.0, 0.2, 40, 50)
     assert audits.lemmino_check(1.0, 0.2, 10, 14)
     assert audits.lemmino_check(2.0, 0.1, 40, 50)
+    # The zero is read from exact reachability, not from a float law on
+    # 0..2,205,450.
+    assert audits.lemmino_check(1.0, 0.2, 2000, 2900)
 
 
 def test_lemmino_outside_band_is_error():

@@ -71,14 +71,14 @@ def test_lemmino_exit_codes(capsys):
 
 
 def test_golden_check_passes(capsys):
-    # The audit commands' reports are byte-identical to the recorded ones.
+    # Every recorded report (the five audits' golden checks and the rho,
+    # zs, llt-table, lemmino and cumulants tables) is byte-identical.
     digests = json.loads(DIGESTS.read_text())
-    for argv in (("stimabase",), ("w2",), ("cov-audit", "--regime", "diag"),
-                 ("cov-audit", "--regime", "near"), ("cov-audit", "--regime", "far")):
-        argv += ("--golden", "check")
-        code, out = run(capsys, *argv)
-        assert code == 0
-        assert hashlib.sha256(out.encode()).hexdigest() == digests[" ".join(argv)]
+    assert len(digests) == 11
+    for argv, digest in digests.items():
+        code, out = run(capsys, *argv.split())
+        assert code == 0, argv
+        assert hashlib.sha256(out.encode()).hexdigest() == digest, argv
     assert set(audits.AUDITS) == set(config.load_golden())
 
 

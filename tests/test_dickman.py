@@ -2,6 +2,8 @@ import math
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from dickmanlab.dickman import (
     EULER_GAMMA,
@@ -92,3 +94,21 @@ def test_cdf_monotone_and_bounded(table):
     vals = [dickman_cdf(table, float(x)) for x in xs]
     assert all(b >= a - 1e-15 for a, b in zip(vals, vals[1:]))
     assert vals[-1] == pytest.approx(1.0, abs=1e-6)
+
+
+@given(xs=st.lists(st.one_of(st.integers(0, 30000).map(lambda k: k / 1000),
+                             st.floats(0.0, 30.0), st.sampled_from([0.0, 30.0])),
+                   min_size=1, max_size=40))
+@settings(max_examples=100, deadline=None)
+def test_array_cdf_is_the_scalar_cdf_bit_for_bit(table, xs):
+    # Nodes k/1000, 0 and x_max included: they take the node-snap branch.
+    arr = dickman_cdf(table, np.array(xs))
+    one_by_one = np.array([dickman_cdf(table, x) for x in xs])
+    assert arr.shape == (len(xs),)
+    assert arr.tobytes() == one_by_one.tobytes()
+
+
+def test_array_with_one_out_of_range_entry_raises(table):
+    for bad in (-0.5, 31.0, float("nan"), float("inf")):
+        with pytest.raises(DickmanRangeError):
+            dickman_cdf(table, np.array([0.5, 1.0, bad, 2.0]))

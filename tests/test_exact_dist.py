@@ -8,8 +8,10 @@ import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
+from dickmanlab.dickman import dickman_cdf
 from dickmanlab.exact_dist import (
     KappaSeq,
+    _law,
     convolve,
     cov_Y,
     kolmogorov_distance,
@@ -124,6 +126,25 @@ def test_kolmogorov_distance_values(table):
     assert 0.0 < d400 < d40 <= 1.0
 
 
+def kolmogorov_per_atom(dist, table):
+    """Reference: the per-atom loop the one-pass distance replaced."""
+    probs = np.asarray(dist.probs, dtype=float)
+    cdf_at = np.cumsum(probs)
+    best = 0.0
+    for v in np.nonzero(probs)[0]:
+        s = v / dist.span
+        d = dickman_cdf(table, s) if s <= table.x_max else 1.0
+        best = max(best, abs(cdf_at[v] - d), abs((cdf_at[v] - probs[v]) - d))
+    return best
+
+
+@pytest.mark.parametrize("m,n", [(0, 2), (2, 40), (10, 200), (2, 400)])
+def test_kolmogorov_distance_is_the_per_atom_loop(table, m, n):
+    # (2, 400) has scaled atoms past x_max = 30, compared against D = 1.
+    dist = pmf(m, n)
+    assert kolmogorov_distance(dist, table) == kolmogorov_per_atom(dist, table)
+
+
 def test_kolmogorov_needs_long_table():
     from dickmanlab.dickman import build_rho_table
 
@@ -184,6 +205,26 @@ def test_point_prob_scan_matches_full_dp():
     scan = point_prob_scan(k15, 40)
     for n in (5, 21, 40):
         assert scan[n - 1] == pytest.approx(prob_at(pmf(0, n), k15(n)), abs=1e-15)
+
+
+@pytest.mark.parametrize("m,n", [(0, 1), (0, 12), (3, 20), (10, 60)])
+def test_capped_law_is_the_full_law_prefix(m, n):
+    full = pmf(m, n).probs
+    S = len(full) - 1
+    for cap in (0, 1, S // 3, S - 1, S, S + 1, 2 * S + 5):
+        assert _law(m, n, cap).tobytes() == full[: cap + 1].tobytes()
+    assert _law(m, n).tobytes() == full.tobytes()
+
+
+def test_cov_reads_the_full_law_values():
+    for x in (1, 1.5, 2.7):
+        k = KappaSeq(x)
+        for m, n in ((2, 2), (5, 5), (3, 7), (10, 40), (20, 200)):
+            km, kn = k(m), k(n)
+            pm = prob_at(pmf(0, m), km)
+            want = (m * m * (pm - pm * pm) if m == n else
+                    (m * pm) * (n * prob_at(pmf(m, n), kn - km) - n * prob_at(pmf(0, n), kn)))
+            assert cov_Y(k, m, n) == want
 
 
 def test_cov_examples():
