@@ -89,8 +89,8 @@ def _golden_gate(args, name: str, constant: float) -> int:
             stored = config.load_golden()
         except FileNotFoundError:
             stored = {}
-        stored[name] = {"constant": constant, "grid_hash": config.grid_hash()}
-        config.save_golden({k: v["constant"] for k, v in stored.items()})
+        stored[name] = {"constant": float(constant), "grid_hash": config.grid_hash()}
+        config.save_golden(stored)
         return EXIT_OK
     golden = config.load_golden()
     problems = audits.check_golden({name: constant}, golden)

@@ -97,12 +97,8 @@ def load_golden() -> dict:
         return json.load(fh)
 
 
-def save_golden(constants: dict) -> None:
-    """Write the golden file; the only mutation path, behind an explicit flag."""
-    payload = {
-        name: {"constant": float(c), "grid_hash": grid_hash()}
-        for name, c in sorted(constants.items())
-    }
+def save_golden(entries: dict) -> None:
+    """Write the entries as given, hashes included; the only mutation path."""
     with open(str(golden_path()), "w") as fh:
-        json.dump(payload, fh, indent=2, sort_keys=True)
+        json.dump(entries, fh, indent=2, sort_keys=True)
         fh.write("\n")

@@ -14,7 +14,6 @@ import warnings
 from dataclasses import dataclass
 
 import numpy as np
-from scipy.special import digamma
 
 from .dickman import EULER_GAMMA
 from .exact_dist import KappaSeq, point_prob_scan
@@ -44,6 +43,8 @@ def _sweep(kappa: KappaSeq, N: int, seed: int, stream: int,
     Z_n is drawn as {uniform integer in [0, n) equals 0}, which makes
     P(Z_n = 1) exactly 1/n (the generator rejects to remove modulo bias).
     """
+    if N >= 2**32:
+        raise ValueError(f"need N < 2**32 so that T_N fits in int64, got N={N}")
     rng = _rng(seed, stream)
     hits = 0
     aux = 0
@@ -140,8 +141,23 @@ def hybrid_oracle_mean(N: int, n_cut: int = 2000) -> float:
         raise ValueError(f"need N > n_cut={n_cut}, got N={N}")
     kappa = KappaSeq(1, mode="exact-multiple")
     head = float(point_prob_scan(kappa, n_cut).sum())
-    tail = math.exp(-EULER_GAMMA) * float(digamma(N + 1) - digamma(n_cut + 1))
+    tail = math.exp(-EULER_GAMMA) * (_digamma(N + 1) - _digamma(n_cut + 1))
     return (head + tail) / math.log(N)
+
+
+def _digamma(x: float) -> float:
+    """Digamma for x >= 1, within 6e-15 absolute up to x = 1e15.
+
+    psi(x) = psi(x + 1) - 1/x carries x to 20 or more, where the asymptotic
+    series cut after x^-10 leaves a remainder below 1e-17.
+    """
+    shift = 0.0
+    while x < 20.0:
+        shift += 1.0 / x
+        x += 1.0
+    x2 = 1.0 / (x * x)
+    series = x2 * (1 / 12 - x2 * (1 / 120 - x2 * (1 / 252 - x2 * (1 / 240 - x2 / 132))))
+    return math.log(x) - 0.5 / x - series - shift
 
 
 def sample_sum_counts(n: int, draws: int, seed: int) -> np.ndarray:

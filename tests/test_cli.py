@@ -1,10 +1,14 @@
 import hashlib
 import json
 import math
+import os
+import subprocess
+import sys
 from pathlib import Path
 
 import pytest
 
+import dickmanlab
 from dickmanlab import audits, config
 from dickmanlab.cli import main
 
@@ -82,6 +86,29 @@ def test_golden_check_passes(capsys):
     assert set(audits.AUDITS) == set(config.load_golden())
 
 
+def test_golden_regenerate_rewrites_only_its_constant(tmp_path, monkeypatch, capsys):
+    golden = config.load_golden()
+    golden["cov_far"]["grid_hash"] = "stale000"
+    path = tmp_path / "constants.json"
+    path.write_text(json.dumps(golden))
+    monkeypatch.setattr(config, "golden_path", lambda: path)
+    code, _ = run(capsys, "cov-audit", "--regime", "diag", "--golden", "regenerate")
+    assert code == 0
+    stored = json.loads(path.read_text())
+    assert stored["cov_far"] == golden["cov_far"]
+    assert stored["cov_diag"]["grid_hash"] == config.grid_hash()
+    code, _ = run(capsys, "cov-audit", "--regime", "far", "--golden", "check")
+    assert code == 1  # the stale entry still fails its hash check
+
+
+def test_cli_import_loads_no_scipy():
+    env = dict(os.environ, PYTHONPATH=str(Path(dickmanlab.__file__).parents[1]))
+    probe = "import dickmanlab.cli, sys; print(sorted(m for m in sys.modules if m.split('.')[0] == 'scipy'))"
+    out = subprocess.run([sys.executable, "-c", probe], env=env, check=True,
+                         capture_output=True, text=True).stdout
+    assert out.strip() == "[]"
+
+
 def test_usage_errors(capsys):
     with pytest.raises(SystemExit) as exc:
         main(["no-such-command"])
@@ -93,6 +120,8 @@ def test_usage_errors(capsys):
     assert code == 2  # beyond the exact-mode cap
     code, _ = run(capsys, "cov-audit", "--regime", "near", "--x", "2.4")
     assert code == 2  # no near-diagonal pair on the m grid at this slope
+    code, _ = run(capsys, "aslt", "--N", str(2**32), "--paths", "1")
+    assert code == 2  # the running sum would overflow int64
 
 
 def test_zs_command(capsys):

@@ -64,6 +64,38 @@ def test_estimate_rho_ratio():
         sim.estimate_rho(0.5, 1000, SEEDS[:2])
 
 
+# H_N - H_{n_cut} by mpmath.harmonic at 30 digits.
+HARMONIC_TAILS = [
+    (1, 2, 0.5),
+    (1, 10, 1.92896825396825396825396825397),
+    (1, 10**4, 8.78760603604438226417847790485),
+    (1, 10**6, 13.3927267228657236313811274932),
+    (1, 10**9, 20.3004815023479440166851018489),
+    (100, 200, 0.690653430481824215252268721472),
+    (100, 10**4, 4.60022851840476200337336022919),
+    (100, 10**9, 16.1131039847083237558799841733),
+    (2000, 4000, 0.693022196184944821136043156599),
+    (2000, 10**4, 1.60923793243409985460082133321),
+    (2000, 10**6, 6.21435861925544122180347092155),
+    (2000, 10**9, 13.1221133987376616071074452773),
+]
+
+
+@pytest.mark.parametrize("n_cut,N,want", HARMONIC_TAILS)
+def test_harmonic_tail_matches_mpmath(n_cut, N, want):
+    tail = sim._digamma(N + 1) - sim._digamma(n_cut + 1)
+    assert abs(tail - want) <= 1e-14 * want
+
+
+def test_running_sum_overflow_raises_before_drawing(monkeypatch):
+    def no_stream(*args):
+        raise AssertionError("drew from a stream")
+
+    monkeypatch.setattr(sim, "_rng", no_stream)
+    with pytest.raises(ValueError, match="int64"):
+        sim.simulate_path(KappaSeq(1), 2**32, 1)
+
+
 def test_hybrid_oracle_shape():
     v = sim.hybrid_oracle_mean(10**6)
     assert 0.5 < v < 0.7

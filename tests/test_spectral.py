@@ -22,7 +22,6 @@ from dickmanlab.spectral import (
     phi_T,
     phi_Z,
     phi_dickman,
-    phi_dickman_abs2,
 )
 from dickmanlab.exact_dist import KappaSeq
 
@@ -58,7 +57,6 @@ def test_phi_T_matches_pmf_sum():
 def test_phi_dickman_values():
     assert phi_dickman(0.0) == 1.0 + 0.0j
     v = phi_dickman(1.0)
-    assert abs(v) ** 2 == pytest.approx(phi_dickman_abs2(1.0), abs=1e-10)
     # high-node fixed Simpson oracle for the exponent at t=1
     u = np.linspace(0.0, 1.0, 1_000_001)
     re = np.where(u > 0, (np.cos(u) - 1.0) / np.where(u > 0, u, 1.0), 0.0)
@@ -68,6 +66,40 @@ def test_phi_dickman_values():
         return h / 3 * (f[0] + f[-1] + 4 * f[1:-1:2].sum() + 2 * f[2:-1:2].sum())
     oracle = cmath.exp(complex(simpson(re), simpson(im)))
     assert abs(v - oracle) < 1e-10
+
+
+# exp(Ci(|t|) - gamma - log|t| + i Si(t)) by mpmath at 40 digits, rounded
+# to 30 significant digits.
+PHI_DICKMAN_MPMATH = [
+    (1e-3, 0.999999250000263888824452172991, 0.000999999527777912777748716149023),
+    (0.5, 0.828033112019092823253780943274, 0.444973628630987870873343739358),
+    (1.0, 0.460157496353148105521025402917, 0.638178263551176896392848420797),
+    (5.0, 0.00193735017501682147881952062828, 0.0928378349005636581113280681627),
+    (-5.0, 0.00193735017501682147881952062828, -0.0928378349005636581113280681627),
+    (33.0, 8.9722204442085029285158239984e-06, 0.0175365865037536365696888647189),
+    (250.0, 2.12168153599017483755631559144e-06, 0.00223712688772859470944488640694),
+    (1000.0, 3.16478076829806308390945750665e-07, 0.000561923528860336777287382879212),
+    (5000.0, 3.46847839877463550641247311015e-09, 0.000112269710033899206945262058444),
+    (1e4, -5.34597475619964102659414543571e-09, 5.61442327620354118244011668248e-05),
+]
+
+
+@pytest.mark.parametrize("t,re,im", PHI_DICKMAN_MPMATH)
+def test_phi_dickman_matches_mpmath(t, re, im):
+    want = complex(re, im)
+    assert abs(phi_dickman(t) - want) <= 1e-14 * abs(want)
+
+
+@given(t=st.floats(min_value=0.0, max_value=1e4))
+@settings(max_examples=60, deadline=None)
+def test_phi_dickman_conjugate_symmetry(t):
+    assert phi_dickman(-t) == phi_dickman(t).conjugate()
+
+
+@pytest.mark.parametrize("t", [1e4 * (1 + 1e-15), -2e4, math.inf, -math.inf, math.nan])
+def test_phi_dickman_rejects_out_of_range(t):
+    with pytest.raises(ValueError):
+        phi_dickman(t)
 
 
 def test_gamma_mn_zero_and_resummation():
