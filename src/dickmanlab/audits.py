@@ -19,14 +19,16 @@ from . import config
 from .dickman import RhoTable, dickman_density
 from .exact_dist import (
     KappaSeq,
+    Pmf,
+    _kolmogorov_cap,
     _law,
     cov_Y,
     kolmogorov_distance,
-    pmf,
+    pmf,  # unused here; perfbench's tracer test reads it as audits.pmf
     point_prob_scan,
     power_sum_scan,
 )
-from .spectral import (Envelope, chi, f_envelope, g_envelope, gamma_mn, l2_cf_limit, phi_T,
+from .spectral import (Envelope, chi, f_envelope, g_envelope, gamma_grid, l2_cf_limit, phi_T,
                        phi_dickman)
 
 
@@ -103,7 +105,8 @@ def w1_rows(m: int, n: int, c_const: float = 1.0) -> list[AuditRow]:
 def w2_check(m: int, n: int, table: RhoTable, c_const: float = 1.0) -> AuditRow:
     """Kolmogorov distance of T_m^n/(n-m) to the Dickman CDF vs g envelope."""
     env = Envelope(m, n, c_const)
-    lhs = kolmogorov_distance(pmf(m, n), table)
+    law = _law(m, n, cap=_kolmogorov_cap(table, n - m))
+    lhs = kolmogorov_distance(Pmf(m, n, law, "float"), table)
     return AuditRow("w2", m, n, float("nan"), 0, 0, lhs, g_envelope(env))
 
 
@@ -189,9 +192,11 @@ def covariance_audit(kappa: KappaSeq, pairs, c_const: float = 1.0,
 
 
 def gamma_kernel_sup(m: int, n: int, u_points: int = 10001) -> float:
-    """sup over a u grid of |gamma_{m,n}(u)| (n-m)/(1 + log(n/m))."""
-    us = np.linspace(0.0, math.pi, u_points)  # |gamma(-u)| = |gamma(u)|
-    sup = float(np.abs(gamma_mn(m, n, us)).max())
+    """sup over u_j = pi j/(u_points-1) of |gamma_{m,n}(u)| (n-m)/(1 + log(n/m)).
+
+    The grid covers [0, pi], which suffices because |gamma(-u)| = |gamma(u)|.
+    """
+    sup = float(np.abs(gamma_grid(m, n, u_points)).max())
     return sup * (n - m) / (1.0 + math.log(n / m))
 
 

@@ -79,7 +79,11 @@ class KappaSeq:
 
 @dataclass(frozen=True)
 class Pmf:
-    """Probability mass function of T_m^n on its full support 0..S."""
+    """Probability mass function of T_m^n on its full support 0..S.
+
+    kolmogorov_distance alone also accepts a float law capped at the
+    largest value it reads (``_law(m, n, cap)``).
+    """
 
     m: int
     n: int
@@ -174,26 +178,42 @@ def scaled_cdf(dist: Pmf, x: float) -> float:
     return float(np.sum(np.asarray(dist.probs, dtype=float)[: idx + 1]))
 
 
+def _kolmogorov_cap(table: RhoTable, span: int) -> int:
+    """Largest value kolmogorov_distance reads: floor(x_max * span)."""
+    return math.floor(table.x_max * span)
+
+
 def kolmogorov_distance(dist: Pmf, table: RhoTable) -> float:
     """sup_x | P(T_m^n/(n-m) <= x) - D(x) |, taken over the atom jump points.
 
     The reference CDF is evaluated on both sides of each atom.  Scaled
     support points beyond the table endpoint are compared against D = 1,
     valid because the Dickman tail beyond x_max >= 15 is far below the
-    distances measured here.
+    distances measured here.  So only atoms up to cap = floor(x_max (n-m))
+    are read, and a law capped there (a prefix of the full law) will do:
+    every atom past the cap is within 1 - F(cap) of D = 1 on both sides.
     """
-    probs = np.asarray(dist.probs, dtype=float)
-    atoms = np.flatnonzero(probs)
-    s = atoms / dist.span
-    if table.x_max < min(15.0, s[-1]):
+    span = dist.span
+    top = (dist.n * (dist.n + 1) - dist.m * (dist.m + 1)) // 2
+    if table.x_max < min(15.0, top / span):
         raise ValueError(
-            f"table x_max={table.x_max} too short for scaled support up to {s[-1]:.3g}"
+            f"table x_max={table.x_max} too short for scaled support up to {top / span:.3g}"
         )
-    right = np.cumsum(probs)[atoms]
+    cap = min(top, _kolmogorov_cap(table, span))
+    if len(dist.probs) <= cap:
+        raise ValueError(f"law stops at {len(dist.probs) - 1}, below the cap {cap}")
+    probs = np.asarray(dist.probs[: cap + 1], dtype=float)
+    cdf = np.cumsum(probs)
+    atoms = np.flatnonzero(probs)
+    s = atoms / span
+    right = cdf[atoms]
     d = np.ones_like(s)
     inside = s <= table.x_max
     d[inside] = dickman_cdf(table, s[inside])
-    return float(max(np.abs(right - d).max(), np.abs((right - probs[atoms]) - d).max()))
+    out = max(np.abs(right - d).max(), np.abs((right - probs[atoms]) - d).max())
+    if cap < top:
+        out = max(out, abs(1.0 - cdf[-1]))
+    return float(out)
 
 
 def power_sum(dist: Pmf):

@@ -86,6 +86,48 @@ def gamma_mn(m: int, n: int, u) -> complex | np.ndarray:
     return complex(out) if np.ndim(u) == 0 else out
 
 
+def gamma_grid(m: int, n: int, u_points: int) -> np.ndarray:
+    """gamma_mn on the grid u_j = pi j/(P-1), j = 0..P-1, P = u_points, by one FFT.
+
+    With M = 2(P-1), e^{i u_j k} = w^{jk} for the M-th root of unity w.  For
+    k >= 3 and |z| = 1 the term is a geometric series in z,
+
+        z(1-z)/(k-1+z) = sum_{q>=1} b_{k,q} z^q,  b_{k,1} = 1/(k-1),
+        b_{k,q} = (-1)^{q-1} k/(k-1)^q  (q >= 2),
+
+    so (n-m) gamma(u_j) = sum_r A_r w^{jr} with A_r the sum of b_{k,q} over
+    kq = r (mod M): a real FFT of A.  Each k's series stops at the first Q
+    whose tail bound k(k-1)^{-(Q+1)}/(1 - 1/(k-1)) is at most 2^-60/(k-1),
+    so the truncation moves (n-m) gamma by at most 2^-60 (1 + log(n/m)).
+    The phase kq mod M is exact integer arithmetic, unlike u*k rounded
+    inside a direct e^{iuk}.
+    """
+    if not (2 <= m < n):
+        raise ValueError(f"need 2 <= m < n, got m={m}, n={n}")
+    if u_points < 2:
+        raise ValueError(f"need u_points >= 2, got {u_points}")
+    M = 2 * (u_points - 1)
+    ks = np.arange(m + 1, n + 1)
+    a = 1.0 / (ks - 1)
+    c = ks * a  # k a^q at q = 1
+    idx, coef = [ks % M], [a]
+    q = 1
+    while True:
+        # Term q+1 is kept while the tail past q, k a^{q+1}/(1-a), exceeds
+        # 2^-60 a; that falls with k, so the k still kept are a prefix.
+        live = np.count_nonzero(c > 2.0**-60 * (1.0 - a))
+        if not live:
+            break
+        ks, a = ks[:live], a[:live]
+        c = c[:live] * a
+        q += 1
+        idx.append(ks * q % M)
+        coef.append(c if q % 2 else -c)
+    A = np.bincount(np.concatenate(idx), np.concatenate(coef), minlength=M)
+    # sum_r A_r w^{jr} = conj(rfft(A)[j]) for real A, and rfft returns j = 0..M/2.
+    return np.conj(np.fft.rfft(A)) / (n - m)
+
+
 def gamma_series(m: int, n: int, t: float, J: int) -> complex:
     """J-term cumulant series sum_{j=1}^J (it)^{j-1}/(j-1)! * alpha_j.
 

@@ -1,9 +1,12 @@
 import math
+import tracemalloc
 
+import numpy as np
 import pytest
 
 from dickmanlab import audits, config
 from dickmanlab.exact_dist import KappaSeq, pmf, prob_at
+from dickmanlab.spectral import gamma_mn
 
 KAPPA1 = KappaSeq(1, mode="exact-multiple")
 
@@ -101,8 +104,28 @@ def test_covariance_regimes():
 
 
 def test_gamma_kernel_sup_shape():
-    val = audits.gamma_kernel_sup(2, 10, u_points=2001)
-    assert 0.0 < val < 10.0
+    # The FFT grid gives the sup of the dense pointwise route.
+    for m, n, u_points in [(2, 10, 2001), (5, 200, 10001), (20, 1000, 777)]:
+        us = np.linspace(0.0, math.pi, u_points)
+        dense = float(np.abs(gamma_mn(m, n, us)).max()) * (n - m) / (1.0 + math.log(n / m))
+        assert audits.gamma_kernel_sup(m, n, u_points) == pytest.approx(dense, rel=1e-12)
+
+
+def test_gamma_kernel_sup_peak_memory_is_small():
+    # Guards against a dense u-by-k matrix: 10001 x 980 complex is 157 MB.
+    tracemalloc.start()
+    try:
+        audits.gamma_kernel_sup(20, 1000)
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert peak < 10 * 2**20
+
+
+@pytest.mark.parametrize("u_points", [1, 0])
+def test_gamma_kernel_sup_needs_two_points(u_points):
+    with pytest.raises(ValueError):
+        audits.gamma_kernel_sup(2, 10, u_points)
 
 
 def test_golden_constants_no_regression(table):

@@ -8,9 +8,10 @@ import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
-from dickmanlab.dickman import dickman_cdf
+from dickmanlab.dickman import build_rho_table, dickman_cdf
 from dickmanlab.exact_dist import (
     KappaSeq,
+    Pmf,
     _law,
     convolve,
     cov_Y,
@@ -138,19 +139,35 @@ def kolmogorov_per_atom(dist, table):
     return best
 
 
-@pytest.mark.parametrize("m,n", [(0, 2), (2, 40), (10, 200), (2, 400)])
-def test_kolmogorov_distance_is_the_per_atom_loop(table, m, n):
-    # (2, 400) has scaled atoms past x_max = 30, compared against D = 1.
+@pytest.fixture(scope="module")
+def table16():
+    return build_rho_table(x_max=16.0, step=1e-3)
+
+
+@pytest.mark.parametrize("m,n", [(0, 2), (2, 40), (10, 200), (2, 400), (5, 600)])
+def test_kolmogorov_distance_is_the_per_atom_loop(table, table16, m, n):
+    # (2, 400) and (5, 600) have scaled atoms past x_max, compared against
+    # D = 1; the distance reads atoms only up to floor(x_max (n-m)), so the
+    # law capped there gives the same value.
     dist = pmf(m, n)
-    assert kolmogorov_distance(dist, table) == kolmogorov_per_atom(dist, table)
+    for tab in (table, table16):
+        want = kolmogorov_per_atom(dist, tab)
+        assert kolmogorov_distance(dist, tab) == want
+        cap = math.floor(tab.x_max * (n - m))
+        capped = Pmf(m, n, _law(m, n, cap), "float")
+        assert kolmogorov_distance(capped, tab) == want
+        if cap < len(dist.probs) - 1:
+            with pytest.raises(ValueError):  # a law that stops short of the cap
+                kolmogorov_distance(Pmf(m, n, _law(m, n, cap - 1), "float"), tab)
 
 
 def test_kolmogorov_needs_long_table():
-    from dickmanlab.dickman import build_rho_table
-
     short = build_rho_table(x_max=2.0, step=1e-3)
     with pytest.raises(ValueError):
         kolmogorov_distance(pmf(0, 4), short)
+    # the full support top decides, even when the law passed is capped
+    with pytest.raises(ValueError):
+        kolmogorov_distance(Pmf(0, 4, _law(0, 4, 8), "float"), short)
 
 
 def test_kappa_modes():

@@ -3,7 +3,7 @@ import math
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from dickmanlab import config
@@ -13,6 +13,7 @@ from dickmanlab.spectral import (
     chi,
     f_envelope,
     g_envelope,
+    gamma_grid,
     gamma_mn,
     gamma_series,
     invert_cf,
@@ -114,6 +115,63 @@ def test_gamma_mn_zero_and_resummation():
     assert list(gamma_mn(2, 10, us)) == [gamma_mn(2, 10, float(u)) for u in us]
     with pytest.raises(ValueError):
         gamma_mn(1, 10, 0.5)
+
+
+# gamma_{m,n}(pi j/(P-1)) at P = 10001 by mpmath at 40 digits, rounded to 25
+# significant digits.  j = P-1 (u = pi, exactly real) is the argmax of |gamma|
+# at all three pairs; j = P-4 is where rounding u*k in a dense e^{iuk} costs
+# most near pi.
+GAMMA_P = 10001
+GAMMA_MPMATH = {
+    (2, 10): [
+        (3333, -0.2063587493769480006752323, -0.0670084766374099403692296),
+        (9997, -0.4190234772360555071364891, 0.004016677769134766270480586),
+        (10000, -0.4190476190476190476190476, 0.0),
+    ],
+    (2, 1000): [
+        (3333, -0.001555266272175672109937603, -0.0004805336347958194808535362),
+        (9997, -0.007420496570050068574701683, 0.001583670053508690739729242),
+        (10000, -0.008192501291691546312947643, 0.0),
+    ],
+    (20, 1000): [
+        (3333, -5.853923163148405030737567e-5, -5.964772370217712813696678e-5),
+        (9997, -0.003311143132578039406255298, 0.001557493684092467104092856),
+        (10000, -0.004096804476207949191544327, 0.0),
+    ],
+}
+
+
+@pytest.mark.parametrize("m,n", sorted(GAMMA_MPMATH))
+def test_gamma_grid_matches_mpmath_to_1e15_of_the_sup(m, n):
+    # Guards the exact roots of unity: the dense e^{iuk} route, with u*k
+    # rounded, is off by 1.4e-13 of the sup at (20, 1000).
+    g = gamma_grid(m, n, GAMMA_P)
+    sup = max(abs(complex(re, im)) for _, re, im in GAMMA_MPMATH[m, n])
+    assert float(np.abs(g).max()) == pytest.approx(sup, rel=1e-15)
+    for j, re, im in GAMMA_MPMATH[m, n]:
+        assert abs(g[j] - complex(re, im)) <= 1e-15 * sup, j
+
+
+@given(mn=st.lists(st.integers(2, 200), min_size=2, max_size=2, unique=True).map(sorted),
+       P=st.integers(2, 3000))
+@settings(max_examples=60, deadline=None)
+@example(mn=[2, 3], P=2)
+def test_gamma_grid_is_gamma_mn_on_the_linspace_grid(mn, P):
+    # Guards the series coefficients, their truncation and the fold mod M
+    # against the pointwise definition, for every grid size down to P = 2.
+    m, n = mn
+    g = gamma_grid(m, n, P)
+    dense = gamma_mn(m, n, np.linspace(0.0, math.pi, P))
+    assert g.shape == (P,)
+    assert np.abs(g - dense).max() <= 1e-12 * np.abs(dense).max()
+
+
+@pytest.mark.parametrize("u_points", [1, 0, -3])
+def test_gamma_grid_rejects_fewer_than_two_points(u_points):
+    with pytest.raises(ValueError):
+        gamma_grid(2, 10, u_points)
+    with pytest.raises(ValueError):
+        gamma_grid(1, 10, 11)
 
 
 def test_gamma_series_against_closed_form():
