@@ -48,8 +48,8 @@ class KappaSeq:
         object.__setattr__(self, "x", x)
         object.__setattr__(self, "mode", mode)
 
-    def _kappa(self, n):
-        """The kappa formula, for an int n or an integer array alike."""
+    def __call__(self, n):
+        """kappa_n, for an int n or an object array of ints alike."""
         p, q = self.x.numerator, self.x.denominator
         if self.mode == "round":
             return (2 * p * n + q) // (2 * q)
@@ -57,20 +57,21 @@ class KappaSeq:
             raise ValueError("x*n is not an integer for exact-multiple mode")
         return (p * n) // q
 
-    def __call__(self, n: int) -> int:
-        return self._kappa(n)
-
     def values(self, ns: Iterable[int]) -> np.ndarray:
-        """Vectorized kappa over many indices (integer arithmetic throughout).
+        """Vectorized kappa over many indices, formed in exact Python ints."""
+        return self(np.array([int(n) for n in ns], dtype=object)).astype(np.int64)
 
-        int64 is used only while 2*p*max|n| + q < 2^63; past that the
-        products are formed in exact Python ints, so they never wrap.
+    def first(self, T: int) -> int:
+        """The smallest n >= 1 with kappa_n >= T, for T >= 1.
+
+        kappa is nondecreasing, so {n : kappa_n = T} = [first(T), first(T + 1)).
         """
-        ns = np.asarray(ns if isinstance(ns, np.ndarray) else list(ns), dtype=np.int64)
         p, q = self.x.numerator, self.x.denominator
-        if ns.size and 2 * p * max(int(ns.max()), -int(ns.min())) + q >= 2**63:
-            return self._kappa(ns.astype(object)).astype(np.int64)
-        return self._kappa(ns)
+        if self.mode == "round":  # 2pn + q >= 2qT
+            return -((q - 2 * q * T) // (2 * p))
+        if self.mode == "exact-multiple" and q != 1:
+            raise ValueError("x*n is not an integer for exact-multiple mode")
+        return -((-q * T) // p)  # pn >= qT
 
     @property
     def x_float(self) -> float:

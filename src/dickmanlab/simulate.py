@@ -1,8 +1,10 @@
 """Monte Carlo reproduction of the almost-sure local limit behaviour.
 
-Each path simulates Z_1, Z_2, ... once and tracks the running sum
-T_n = sum k Z_k, counting the hits {T_n = kappa_n}.  The log-average
-hits / log N converges path-wise to exp(-gamma) rho(x).
+Each path tracks the running sum T_n = sum k Z_k, counting the hits
+{T_n = kappa_n}.  The log-average hits / log N converges path-wise to
+exp(-gamma) rho(x).  The Z_k are the record indicators of an iid
+sequence, so each path jumps from one index with Z = 1 to the next in an
+exact integer draw: O(log N) work per path, with no limit on N.
 
 Streams are counter-based (Philox) and keyed by (seed, path index), so
 any path can be reproduced in isolation and paths never share draws.
@@ -18,8 +20,6 @@ import numpy as np
 from .dickman import EULER_GAMMA
 from .exact_dist import KappaSeq, point_prob_scan
 
-_CHUNK = 1 << 20
-
 
 @dataclass(frozen=True)
 class PathEstimate:
@@ -31,42 +31,42 @@ class PathEstimate:
     log_avg: float
 
 
-def _rng(seed: int, stream: int) -> np.random.Generator:
-    return np.random.Generator(np.random.Philox(key=[seed, stream]))
+def _rng(seed: int, stream: int) -> np.random.Philox:
+    return np.random.Philox(key=[seed, stream])
 
 
-def _sweep(kappa: KappaSeq, N: int, seed: int, stream: int,
-           ref_kappa: KappaSeq | None = None,
-           checkpoints: tuple[int, ...] | None = None):
-    """One pass over n = 1..N in chunks; returns hit counts.
+def _walk(kappas, marks, seed: int, stream: int) -> list[list[int]]:
+    """hits[i][j] = #{n <= marks[j] : T_n = kappas[i](n)} on one path.
 
-    Z_n is drawn as {uniform integer in [0, n) equals 0}, which makes
-    P(Z_n = 1) exactly 1/n (the generator rejects to remove modulo bias).
+    After an index k with Z_k = 1 the next one, j, has P(j > i) = k/i, so
+    j = floor(k/U) + 1.  U is read 64 bits at a time: with its first b bits
+    equal to a, U lies in [a/2^b, (a+1)/2^b), and j is settled once
+    k 2^b // (a+1) == k 2^b // a.  On the stretch [k, j) T is constant and,
+    kappa being nondecreasing, hits [kappa.first(T), kappa.first(T + 1)).
     """
-    if N >= 2**32:
-        raise ValueError(f"need N < 2**32 so that T_N fits in int64, got N={N}")
-    rng = _rng(seed, stream)
-    hits = 0
-    aux = 0
-    marks = sorted(checkpoints) if checkpoints else []
-    at_marks: dict[int, int] = {}
-    T = 0
-    start = 1
-    while start <= N:
-        stop = min(start + _CHUNK - 1, N)
-        ns = np.arange(start, stop + 1, dtype=np.int64)
-        z = rng.integers(0, ns) == 0
-        T_run = T + np.cumsum(ns * z)
-        T = int(T_run[-1])
-        hit_mask = T_run == kappa.values(ns)
-        hits += int(hit_mask.sum())
-        if ref_kappa is not None:
-            aux += int((T_run == ref_kappa.values(ns)).sum())
-        for mark in marks:
-            if start <= mark <= stop:
-                at_marks[mark] = hits - int(hit_mask[mark - start + 1 :].sum())
-        start = stop + 1
-    return hits, aux, at_marks
+    bits = _rng(seed, stream)
+    hits = [[0] * len(marks) for _ in kappas]
+    k = T = 1  # Z_1 = 1 always
+    while k <= max(marks):
+        a = b = 0
+        while not (a and (k << b) // a == (k << b) // (a + 1)):
+            a, b = (a << 64) | bits.random_raw(), b + 64
+        j = (k << b) // a + 1
+        for row, kappa in zip(hits, kappas):
+            lo, hi = max(k, kappa.first(T)), min(j, kappa.first(T + 1))
+            for m, mark in enumerate(marks):
+                row[m] += max(0, min(hi, mark + 1) - lo)
+        k, T = j, T + j
+    return hits
+
+
+def _seeds(horizons, seeds) -> list[int]:
+    """The seeds as ints, once every horizon is N >= 2 and there is a seed."""
+    seeds = [int(s) for s in seeds]
+    if min(horizons, default=0) < 2 or not seeds:
+        raise ValueError(f"need horizons N >= 2 and a seed, got N={list(horizons)} "
+                         f"and {len(seeds)} seeds")
+    return seeds
 
 
 def simulate_path(kappa: KappaSeq, N: int, seed: int, stream: int = 0) -> PathEstimate:
@@ -79,7 +79,7 @@ def simulate_path(kappa: KappaSeq, N: int, seed: int, stream: int = 0) -> PathEs
             "no convergence guarantee applies",
             stacklevel=2,
         )
-    hits, _, _ = _sweep(kappa, N, seed, stream)
+    hits = _walk([kappa], [N], seed, stream)[0][0]
     return PathEstimate(seed=seed, N=N, hits=hits, log_avg=hits / math.log(N))
 
 
@@ -87,12 +87,11 @@ def estimate_gamma(N: int, seeds) -> tuple[float, float]:
     """Estimate Euler's constant from the x = 1 log-averages.
 
     Returns (gamma estimate, raw mean of the per-path log-averages); the
-    estimate is -ln(mean) since the mean approaches exp(-gamma).
+    estimate is -ln(mean) since the mean approaches exp(-gamma).  Every
+    path hits at n = 1, so the mean is positive.
     """
     kappa = KappaSeq(1, mode="exact-multiple")
-    paths = [simulate_path(kappa, N, int(s), stream=i) for i, s in enumerate(seeds)]
-    if sum(p.hits for p in paths) == 0:
-        raise RuntimeError("no hits on any path; N too small to estimate")
+    paths = [simulate_path(kappa, N, s, stream=i) for i, s in enumerate(_seeds([N], seeds))]
     mean = float(np.mean([p.log_avg for p in paths]))
     return -math.log(mean), mean
 
@@ -105,29 +104,18 @@ def estimate_rho(x: float, N: int, seeds) -> float:
     """
     if x < 1.0:
         raise ValueError(f"ratio estimator needs x >= 1, got {x}")
-    kappa = KappaSeq(x)
-    ref = KappaSeq(1, mode="exact-multiple")
-    num = den = 0
-    for i, s in enumerate(seeds):
-        hits, aux, _ = _sweep(kappa, N, int(s), i, ref_kappa=ref)
-        num += hits
-        den += aux
-    if den == 0:
-        raise RuntimeError("no reference hits on any path; N too small")
-    return num / den
+    kappas = [KappaSeq(x), KappaSeq(1, mode="exact-multiple")]
+    hits = [_walk(kappas, [N], s, i) for i, s in enumerate(_seeds([N], seeds))]
+    return sum(h[0][0] for h in hits) / sum(h[1][0] for h in hits)
 
 
 def dispersion_diagnostic(x: float, N_list, seeds) -> list[tuple[int, float]]:
     """Across-path standard deviation of the log-average at each horizon."""
     N_list = sorted(set(int(N) for N in N_list))
     kappa = KappaSeq(x)
-    top = N_list[-1]
-    log_avgs = {N: [] for N in N_list}
-    for i, s in enumerate(seeds):
-        _, _, at_marks = _sweep(kappa, top, int(s), i, checkpoints=tuple(N_list))
-        for N in N_list:
-            log_avgs[N].append(at_marks[N] / math.log(N))
-    return [(N, float(np.std(log_avgs[N]))) for N in N_list]
+    hits = [_walk([kappa], N_list, s, i)[0] for i, s in enumerate(_seeds(N_list, seeds))]
+    return [(N, float(np.std([h[m] / math.log(N) for h in hits])))
+            for m, N in enumerate(N_list)]
 
 
 def hybrid_oracle_mean(N: int, n_cut: int = 2000) -> float:
@@ -146,7 +134,7 @@ def hybrid_oracle_mean(N: int, n_cut: int = 2000) -> float:
 
 
 def _digamma(x: float) -> float:
-    """Digamma for x >= 1, within 6e-15 absolute up to x = 1e15.
+    """Digamma for x >= 1, within 6e-15 absolute up to x = 1e18.
 
     psi(x) = psi(x + 1) - 1/x carries x to 20 or more, where the asymptotic
     series cut after x^-10 leaves a remainder below 1e-17.
@@ -166,7 +154,7 @@ def sample_sum_counts(n: int, draws: int, seed: int) -> np.ndarray:
     Returns an array c with c[v] = #{draws with T_n = v}, one weight at a
     time so memory stays at O(draws).
     """
-    rng = _rng(seed, 0)
+    rng = np.random.Generator(_rng(seed, 0))
     T = np.full(draws, 1, dtype=np.int64)  # Z_1 is deterministic
     for k in range(2, n + 1):
         z = rng.integers(0, k, size=draws) == 0

@@ -120,8 +120,18 @@ def test_usage_errors(capsys):
     assert code == 2  # beyond the exact-mode cap
     code, _ = run(capsys, "cov-audit", "--regime", "near", "--x", "2.4")
     assert code == 2  # no near-diagonal pair on the m grid at this slope
-    code, _ = run(capsys, "aslt", "--N", str(2**32), "--paths", "1")
-    assert code == 2  # the running sum would overflow int64
+    for argv in (("dispersion", "--N", "1,100"), ("dispersion", "--N", "0,100"),
+                 ("estimate-gamma", "--paths", "0"),
+                 ("estimate-rho", "--x", "2", "--paths", "0")):
+        code, _ = run(capsys, *argv)
+        assert code == 2, argv  # a horizon below 2 or no paths
+
+
+def test_aslt_reaches_large_horizons(capsys):
+    code, out = run(capsys, "aslt", "--N", str(10**15), "--paths", "4")
+    assert code == 0
+    rows = [r.split(",") for r in out.strip().splitlines()[1:]]
+    assert len(rows) == 4 and all(int(r[3]) >= 1 for r in rows)
 
 
 def test_zs_command(capsys):

@@ -1,7 +1,4 @@
-"""Demos 01-03 print the bytes recorded in demo_digests.json.
-
-Demo 04 (Monte Carlo, about 5 s) is left out to keep tier-1 short.
-"""
+"""Every demo prints the bytes recorded in demo_digests.json."""
 import hashlib
 import json
 import os

@@ -179,6 +179,8 @@ def test_kappa_modes():
     with pytest.raises(ValueError):
         KappaSeq(1.5, mode="exact-multiple")(3)
     with pytest.raises(ValueError):
+        KappaSeq(1.5, mode="exact-multiple").first(1)
+    with pytest.raises(ValueError):
         KappaSeq(-1.0)
     with pytest.raises(ValueError):
         KappaSeq(1.0, mode="ceil")
@@ -269,3 +271,20 @@ def test_csv_export():
     assert lines[0] == "value,probability"
     assert len(lines) == 5
     assert lines[1].startswith("1,0.3333333333333333")
+
+
+@given(p=st.integers(min_value=1, max_value=50), q=st.integers(min_value=1, max_value=50),
+       T=st.one_of(st.integers(min_value=1, max_value=200),
+                   st.integers(min_value=1, max_value=10**20)),
+       mode=st.sampled_from(["floor", "round", "exact-multiple"]))
+@example(p=1, q=1, T=1, mode="exact-multiple")
+@example(p=2, q=3, T=1, mode="floor")
+@settings(max_examples=200, deadline=None)
+def test_kappa_first_is_the_least_index_reaching_T(p, q, T, mode):
+    if mode == "exact-multiple":
+        p //= math.gcd(p, q)
+        q = 1
+    k = KappaSeq(Fraction(p, q), mode=mode)
+    n = k.first(T)
+    assert n >= 1 and k(n) >= T
+    assert n == 1 or k(n - 1) < T

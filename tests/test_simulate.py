@@ -1,9 +1,10 @@
 import math
+from fractions import Fraction
 
 import numpy as np
 import pytest
 
-from dickmanlab.exact_dist import KappaSeq, pmf, prob_at
+from dickmanlab.exact_dist import KappaSeq, pmf, point_prob_scan, prob_at
 from dickmanlab import simulate as sim
 
 KAPPA1 = KappaSeq(1, mode="exact-multiple")
@@ -14,6 +15,7 @@ def test_first_step_always_hits():
     # Z_1 is deterministic, so T_1 = 1 = kappa_1 on every path
     est = sim.simulate_path(KAPPA1, 2, seed=5)
     assert est.hits >= 1
+    assert sim._walk([KAPPA1], [1], 5, 0) == [[1]]  # a mark counts n <= mark
 
 
 def test_determinism():
@@ -43,12 +45,53 @@ def test_x_below_one_warns():
         sim.simulate_path(KappaSeq(0.5), 100, seed=1)
 
 
-def test_sweep_checkpoints_are_prefix_counts():
-    _, _, marks = sim._sweep(KAPPA1, 300_000, 11, 0, checkpoints=(10_000, 300_000))
-    short, _, _ = sim._sweep(KAPPA1, 10_000, 11, 0)
-    assert marks[10_000] == short
-    full, _, _ = sim._sweep(KAPPA1, 300_000, 11, 0)
-    assert marks[300_000] == full
+def test_walk_marks_are_prefix_counts():
+    marks = sim._walk([KAPPA1], [10_000, 300_000], 11, 0)[0]
+    assert marks[0] == sim._walk([KAPPA1], [10_000], 11, 0)[0][0]
+    assert marks[1] == sim._walk([KAPPA1], [300_000], 11, 0)[0][0]
+
+
+def test_walk_mean_hits_match_exact_dp():
+    # E #{n <= N : T_n = kappa_n} = sum_n P(T_n = kappa_n), by the DP.
+    N, paths = 20_000, 2000
+    kappas = [KAPPA1, KappaSeq(2), KappaSeq(Fraction(3, 2)), KappaSeq(Fraction(2, 3)),
+              KappaSeq(Fraction(5, 4), mode="round")]
+    hits = np.array([[row[0] for row in sim._walk(kappas, [N], 99, i)]
+                     for i in range(paths)])
+    for kappa, col in zip(kappas, hits.T):
+        want = float(point_prob_scan(kappa, N).sum())
+        se = col.std(ddof=1) / math.sqrt(paths)
+        assert abs(col.mean() - want) < 5 * se, kappa
+
+
+class ScriptedBits:
+    """Feeds the given 64-bit words, then all-ones words; counts the draws."""
+
+    def __init__(self, words):
+        self.words = list(words)
+        self.drawn = 0
+
+    def random_raw(self):
+        self.drawn += 1
+        return self.words.pop(0) if self.words else 2**64 - 1
+
+
+@pytest.mark.parametrize("words", [
+    [0, 2**128 // 3000 - 1],  # U < 2^-64: the first word settles nothing
+    [2**53, 1],  # 2^64 / 2^53 = 2048 is a floor boundary
+])
+def test_walk_draws_another_word_until_the_gap_is_settled(monkeypatch, words):
+    bits = ScriptedBits(words)
+    monkeypatch.setattr(sim, "_rng", lambda seed, stream: bits)
+    a = (words[0] << 64) | words[1]
+    j = (1 << 128) // a + 1
+    assert j == (1 << 128) // (a + 1) + 1
+    # kappa_n = floor(n / 2000) is 1 exactly on [2000, 4000), so the hits
+    # of T = 1 on its stretch [1, j) read off j.  Both words go to that
+    # gap; one all-ones word then steps past the mark j, with T > 2000.
+    assert 2000 <= j < 4000
+    assert sim._walk([KappaSeq(Fraction(1, 2000))], [j], 0, 0) == [[j - 2000]]
+    assert bits.drawn == 3
 
 
 def test_estimate_gamma_near_truth():
@@ -78,6 +121,10 @@ HARMONIC_TAILS = [
     (2000, 10**4, 1.60923793243409985460082133321),
     (2000, 10**6, 6.21435861925544122180347092155),
     (2000, 10**9, 13.1221133987376616071074452773),
+    (1, 10**15, 34.1159920598122186208763839103),
+    (1, 10**18, 41.0237473387943551734303582744),
+    (2000, 10**15, 26.9376239562019362112987273387),
+    (2000, 10**18, 33.8453792351840727638527017028),
 ]
 
 
@@ -85,15 +132,6 @@ HARMONIC_TAILS = [
 def test_harmonic_tail_matches_mpmath(n_cut, N, want):
     tail = sim._digamma(N + 1) - sim._digamma(n_cut + 1)
     assert abs(tail - want) <= 1e-14 * want
-
-
-def test_running_sum_overflow_raises_before_drawing(monkeypatch):
-    def no_stream(*args):
-        raise AssertionError("drew from a stream")
-
-    monkeypatch.setattr(sim, "_rng", no_stream)
-    with pytest.raises(ValueError, match="int64"):
-        sim.simulate_path(KappaSeq(1), 2**32, 1)
 
 
 def test_hybrid_oracle_shape():
