@@ -2,7 +2,9 @@
 
 Simulates independent paths of the Z sequence, counts hits {T_n = n},
 and compares the log-averages with the hybrid reference value (exact DP
-head plus the limiting tail).  Also runs the ratio estimator for rho(x).
+head plus the limiting tail).  Also runs the ratio estimator for rho(x),
+against its expected value at this N (the same head-plus-tail sum for
+both hit counts) and against its limit rho(x).
 """
 import argparse
 import math
@@ -11,6 +13,7 @@ import numpy as np
 
 from dickmanlab import EULER_GAMMA, KappaSeq
 from dickmanlab import simulate as sim
+from dickmanlab.exact_dist import point_prob_scan
 
 
 def main():
@@ -20,10 +23,9 @@ def main():
     ap.add_argument("--seed", type=int, default=12345)
     args = ap.parse_args()
 
+    seeds = [args.seed + i for i in range(args.paths)]
     kappa = KappaSeq(1, mode="exact-multiple")
-    paths = [sim.simulate_path(kappa, args.N, args.seed + i, stream=i)
-             for i in range(args.paths)]
-    log_avgs = [p.log_avg for p in paths]
+    log_avgs = [p.log_avg for p in sim.simulate_paths(kappa, args.N, seeds)]
     oracle = sim.hybrid_oracle_mean(args.N)
 
     print(f"{args.paths} paths at N = {args.N}:")
@@ -33,17 +35,25 @@ def main():
     print(f"  limit e^-gamma:        {math.exp(-EULER_GAMMA):.4f}")
     print()
 
-    g_est, raw = sim.estimate_gamma(args.N, [args.seed + i for i in range(args.paths)])
+    g_est, raw = sim.estimate_gamma(args.N, seeds)
     print(f"Euler constant estimate: {g_est:.4f} (true {EULER_GAMMA:.4f})")
     print()
 
+    # Expected hits on kappa: the exact head up to n = 2000, then the
+    # limiting exp(-gamma) rho(x) / n tail, which the hybrid reference
+    # gives for x = 1.
+    head_1 = float(point_prob_scan(kappa, 2000).sum())
+    tail = oracle * math.log(args.N) - head_1
     for x in (1.5, 2.0):
-        est = sim.estimate_rho(x, args.N, [args.seed + i for i in range(args.paths)])
-        print(f"rho({x}) ratio estimate: {est:.4f} (true {1 - math.log(x):.4f})")
+        est = sim.estimate_rho(x, args.N, seeds)
+        rho_x = 1 - math.log(x)
+        head_x = float(point_prob_scan(KappaSeq(x), 2000).sum())
+        expected = (head_x + tail * rho_x) / (head_1 + tail)
+        print(f"rho({x}) ratio estimate: {est:.4f} "
+              f"(expected at this N {expected:.4f}, limit rho({x}) {rho_x:.4f})")
     print()
 
-    disp = sim.dispersion_diagnostic(1.0, [10**4, args.N],
-                                     [args.seed + i for i in range(args.paths)])
+    disp = sim.dispersion_diagnostic(1.0, [10**4, args.N], seeds)
     print("across-path dispersion of the log-average:")
     for N, s in disp:
         print(f"  N={N:8d}: {s:.4f}")

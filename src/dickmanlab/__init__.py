@@ -12,7 +12,7 @@ from .dickman import (
     rho_sq_integral,
 )
 from .exact_dist import KappaSeq, Pmf, cov_Y, kolmogorov_distance, pmf, prob_at, scaled_cdf
-from .simulate import PathEstimate, estimate_gamma, estimate_rho, simulate_path
+from .simulate import PathEstimate, estimate_gamma, estimate_rho, simulate_path, simulate_paths
 
 __all__ = [
     "EULER_GAMMA",
@@ -33,6 +33,7 @@ __all__ = [
     "kolmogorov_distance",
     "cov_Y",
     "simulate_path",
+    "simulate_paths",
     "estimate_gamma",
     "estimate_rho",
 ]

@@ -28,8 +28,8 @@ from .exact_dist import (
     point_prob_scan,
     power_sum_scan,
 )
-from .spectral import (Envelope, chi, f_envelope, g_envelope, gamma_grid, l2_cf_limit, phi_T,
-                       phi_dickman)
+from .spectral import (Envelope, chi, f_envelope, g_envelope, gamma_grid, l2_cf_limit,
+                       l2_cf_parseval, phi_T, phi_dickman)
 
 
 @dataclass(frozen=True)
@@ -114,8 +114,8 @@ def zs_check(n: int, table: RhoTable, power: float | None = None) -> AuditRow:
     """L2 characteristic-function integral 2 pi n sum P^2 against its limit."""
     if power is None:
         power = power_sum_scan([n])[n]
-    lhs = 2.0 * math.pi * n * power
-    return AuditRow("zs", 0, n, float("nan"), 0, 0, lhs, l2_cf_limit(table))
+    return AuditRow("zs", 0, n, float("nan"), 0, 0, l2_cf_parseval(n, power),
+                    l2_cf_limit(table))
 
 
 def sigma_band(x: float, eps: float) -> float:

@@ -9,14 +9,13 @@ from __future__ import annotations
 
 import argparse
 import json
-import os
 import sys
 from dataclasses import astuple, fields
 
 from . import audits, config, simulate
 from .cumulants import a_coeff, cumulant_explicit
 from .dickman import build_rho_table, dickman_cdf, dickman_density, rho
-from .exact_dist import KappaSeq, pmf
+from .exact_dist import KappaSeq, pmf, power_sum_scan
 
 EXIT_OK = 0
 EXIT_REGRESSION = 1
@@ -32,15 +31,7 @@ def _fmt(v) -> str:
 
 
 def _emit(args, header, rows) -> None:
-    out = sys.stdout
-    close = False
-    if args.output:
-        path = args.output
-        outdir = os.environ.get("DICKMANLAB_OUTDIR")
-        if outdir and not os.path.isabs(path):
-            path = os.path.join(outdir, path)
-        out = open(path, "w")
-        close = True
+    out = open(args.output, "w") if args.output else sys.stdout
     try:
         if args.format == "json":
             cfg = {k: v for k, v in vars(args).items()
@@ -57,7 +48,7 @@ def _emit(args, header, rows) -> None:
             for r in rows:
                 out.write(",".join(_fmt(v) for v in r) + "\n")
     finally:
-        if close:
+        if args.output:
             out.close()
 
 
@@ -76,8 +67,7 @@ def _kappa(x: float, mode: str | None) -> KappaSeq:
 
 
 def _table(args):
-    return build_rho_table(x_max=getattr(args, "xmax", 30.0),
-                           step=getattr(args, "step", 1e-3))
+    return build_rho_table(x_max=args.xmax, step=args.step)
 
 
 def _golden_gate(args, name: str, constant: float) -> int:
@@ -142,7 +132,6 @@ def cmd_audit(args) -> int:
 
 def cmd_zs(args) -> int:
     table = _table(args)
-    from .exact_dist import power_sum_scan
     powers = power_sum_scan(args.n)
     rows = [audits.zs_check(n, table, power=powers[n]) for n in sorted(powers)]
     out = [(r.n, r.lhs, r.envelope, abs(r.lhs - r.envelope)) for r in rows]
@@ -172,10 +161,8 @@ def _seeds(args) -> list[int]:
 
 def cmd_aslt(args) -> int:
     kappa = _kappa(args.x, args.kappa_mode)
-    rows = []
-    for i, s in enumerate(_seeds(args)):
-        est = simulate.simulate_path(kappa, args.N, s, stream=i)
-        rows.append((i, est.seed, est.N, est.hits, est.log_avg))
+    paths = simulate.simulate_paths(kappa, args.N, _seeds(args))
+    rows = [(i, p.seed, p.N, p.hits, p.log_avg) for i, p in enumerate(paths)]
     _emit(args, ("path", "seed", "N", "hits", "log_avg"), rows)
     return EXIT_OK
 
@@ -209,8 +196,7 @@ def _add_common(p, kappa=False, table=False, golden=False, sim=False):
         p.add_argument("--xmax", type=float, default=30.0)
         p.add_argument("--step", type=float, default=1e-3)
     p.add_argument("--format", choices=("csv", "json"), default="csv")
-    p.add_argument("--output", help="output file (relative paths resolve "
-                                    "against $DICKMANLAB_OUTDIR)")
+    p.add_argument("--output", help="output file (default: stdout)")
     if golden:
         p.add_argument("--golden", choices=("off", "check", "regenerate"),
                        default="off")

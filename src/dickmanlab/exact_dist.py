@@ -12,7 +12,6 @@ n <= 64) exists purely as an oracle.
 """
 from __future__ import annotations
 
-import csv
 import math
 from dataclasses import dataclass
 from fractions import Fraction
@@ -94,14 +93,6 @@ class Pmf:
     @property
     def span(self) -> int:
         return self.n - self.m
-
-    def to_csv(self, fileobj) -> None:
-        """Write (value, probability) rows for the nonzero atoms."""
-        w = csv.writer(fileobj)
-        w.writerow(["value", "probability"])
-        for v, p in enumerate(self.probs):
-            if p != 0:
-                w.writerow([v, format(float(p), ".17g")])
 
 
 def _steps(m: int, n: int, cap: int | None = None):
@@ -187,12 +178,11 @@ def _kolmogorov_cap(table: RhoTable, span: int) -> int:
 def kolmogorov_distance(dist: Pmf, table: RhoTable) -> float:
     """sup_x | P(T_m^n/(n-m) <= x) - D(x) |, taken over the atom jump points.
 
-    The reference CDF is evaluated on both sides of each atom.  Scaled
-    support points beyond the table endpoint are compared against D = 1,
-    valid because the Dickman tail beyond x_max >= 15 is far below the
-    distances measured here.  So only atoms up to cap = floor(x_max (n-m))
-    are read, and a law capped there (a prefix of the full law) will do:
-    every atom past the cap is within 1 - F(cap) of D = 1 on both sides.
+    The reference CDF is evaluated on both sides of each atom.  Only atoms
+    up to cap = floor(x_max (n-m)) are read, and a law capped there (a
+    prefix of the full law) will do: every atom past the cap is within
+    1 - F(cap) of D = 1 on both sides, valid because the Dickman tail
+    beyond x_max >= 15 is far below the distances measured here.
     """
     span = dist.span
     top = (dist.n * (dist.n + 1) - dist.m * (dist.m + 1)) // 2
@@ -206,11 +196,8 @@ def kolmogorov_distance(dist: Pmf, table: RhoTable) -> float:
     probs = np.asarray(dist.probs[: cap + 1], dtype=float)
     cdf = np.cumsum(probs)
     atoms = np.flatnonzero(probs)
-    s = atoms / span
     right = cdf[atoms]
-    d = np.ones_like(s)
-    inside = s <= table.x_max
-    d[inside] = dickman_cdf(table, s[inside])
+    d = dickman_cdf(table, atoms / span)
     out = max(np.abs(right - d).max(), np.abs((right - probs[atoms]) - d).max())
     if cap < top:
         out = max(out, abs(1.0 - cdf[-1]))

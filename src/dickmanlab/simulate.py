@@ -8,11 +8,12 @@ exact integer draw: O(log N) work per path, with no limit on N.
 
 Streams are counter-based (Philox) and keyed by (seed, path index), so
 any path can be reproduced in isolation and paths never share draws.
+``_streams`` holds that rule, and every multi-path estimator reads its
+(seed, stream) pairs from it.
 """
 from __future__ import annotations
 
 import math
-import warnings
 from dataclasses import dataclass
 
 import numpy as np
@@ -60,27 +61,26 @@ def _walk(kappas, marks, seed: int, stream: int) -> list[list[int]]:
     return hits
 
 
-def _seeds(horizons, seeds) -> list[int]:
-    """The seeds as ints, once every horizon is N >= 2 and there is a seed."""
+def _streams(horizons, seeds) -> list[tuple[int, int]]:
+    """[(seed, i), ...], path i reading stream i of its seed; needs every N >= 2 and a seed."""
     seeds = [int(s) for s in seeds]
     if min(horizons, default=0) < 2 or not seeds:
         raise ValueError(f"need horizons N >= 2 and a seed, got N={list(horizons)} "
                          f"and {len(seeds)} seeds")
-    return seeds
+    return [(s, i) for i, s in enumerate(seeds)]
 
 
 def simulate_path(kappa: KappaSeq, N: int, seed: int, stream: int = 0) -> PathEstimate:
     """Simulate one path of length N and return its hit count and log-average."""
     if N < 2:
         raise ValueError(f"need N >= 2, got {N}")
-    if kappa.x_float < 1.0:
-        warnings.warn(
-            "x < 1: kappa_n = floor(x n) need not be strictly increasing, "
-            "no convergence guarantee applies",
-            stacklevel=2,
-        )
     hits = _walk([kappa], [N], seed, stream)[0][0]
     return PathEstimate(seed=seed, N=N, hits=hits, log_avg=hits / math.log(N))
+
+
+def simulate_paths(kappa: KappaSeq, N: int, seeds) -> list[PathEstimate]:
+    """One path per seed, path i on stream i of its seed."""
+    return [simulate_path(kappa, N, s, i) for s, i in _streams([N], seeds)]
 
 
 def estimate_gamma(N: int, seeds) -> tuple[float, float]:
@@ -91,8 +91,7 @@ def estimate_gamma(N: int, seeds) -> tuple[float, float]:
     path hits at n = 1, so the mean is positive.
     """
     kappa = KappaSeq(1, mode="exact-multiple")
-    paths = [simulate_path(kappa, N, s, stream=i) for i, s in enumerate(_seeds([N], seeds))]
-    mean = float(np.mean([p.log_avg for p in paths]))
+    mean = float(np.mean([p.log_avg for p in simulate_paths(kappa, N, seeds)]))
     return -math.log(mean), mean
 
 
@@ -105,7 +104,7 @@ def estimate_rho(x: float, N: int, seeds) -> float:
     if x < 1.0:
         raise ValueError(f"ratio estimator needs x >= 1, got {x}")
     kappas = [KappaSeq(x), KappaSeq(1, mode="exact-multiple")]
-    hits = [_walk(kappas, [N], s, i) for i, s in enumerate(_seeds([N], seeds))]
+    hits = [_walk(kappas, [N], s, i) for s, i in _streams([N], seeds)]
     return sum(h[0][0] for h in hits) / sum(h[1][0] for h in hits)
 
 
@@ -113,7 +112,7 @@ def dispersion_diagnostic(x: float, N_list, seeds) -> list[tuple[int, float]]:
     """Across-path standard deviation of the log-average at each horizon."""
     N_list = sorted(set(int(N) for N in N_list))
     kappa = KappaSeq(x)
-    hits = [_walk([kappa], N_list, s, i)[0] for i, s in enumerate(_seeds(N_list, seeds))]
+    hits = [_walk([kappa], N_list, s, i)[0] for s, i in _streams(N_list, seeds)]
     return [(N, float(np.std([h[m] / math.log(N) for h in hits])))
             for m, N in enumerate(N_list)]
 

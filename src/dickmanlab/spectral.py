@@ -194,15 +194,21 @@ def chi(env: Envelope, kappa: KappaSeq, x: float) -> float:
     )
 
 
-def l2_cf_integral(dist: Pmf) -> float:
+def l2_cf_parseval(n: int, power: float) -> float:
     """integral_{-pi n}^{pi n} |phi_{T_n/n}(u)|^2 du = 2 pi n sum_v P(T_n=v)^2.
 
-    Exact by the Parseval identity for integer-supported laws, with the
-    change of variables u = n t folding in the scaling by n.
+    power is sum_v P(T_n=v)^2.  Exact by the Parseval identity for
+    integer-supported laws, with the change of variables u = n t folding
+    in the scaling by n.
     """
+    return 2.0 * math.pi * n * power
+
+
+def l2_cf_integral(dist: Pmf) -> float:
+    """The L2 characteristic-function integral of T_n from its full law."""
     if dist.m != 0:
         raise ValueError(f"expected a pmf of T_n = T_0^n, got m={dist.m}")
-    return 2.0 * math.pi * dist.n * float(power_sum(dist))
+    return l2_cf_parseval(dist.n, float(power_sum(dist)))
 
 
 def l2_cf_limit(table: RhoTable) -> float:

@@ -54,8 +54,7 @@ def scan():
 
 @pytest.fixture(scope="module")
 def mc_paths():
-    return [simulate.simulate_path(KAPPA1, N_MC, MASTER_SEED + i, stream=i)
-            for i in range(PATHS)]
+    return simulate.simulate_paths(KAPPA1, N_MC, [MASTER_SEED + i for i in range(PATHS)])
 
 
 def test_criterion_01_closed_form(table):

@@ -4,6 +4,7 @@ import math
 import os
 import subprocess
 import sys
+import warnings
 from pathlib import Path
 
 import pytest
@@ -76,12 +77,16 @@ def test_lemmino_exit_codes(capsys):
 
 def test_golden_check_passes(capsys):
     # Every recorded report (the five audits' golden checks and the rho,
-    # zs, llt-table, lemmino and cumulants tables) is byte-identical.
+    # zs, llt-table, lemmino and cumulants tables) is byte-identical, and
+    # none writes to stderr or raises a warning.
     digests = json.loads(DIGESTS.read_text())
     assert len(digests) == 11
     for argv, digest in digests.items():
-        code, out = run(capsys, *argv.split())
-        assert code == 0, argv
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            code = main(argv.split())
+        out, err = capsys.readouterr()
+        assert code == 0 and err == "", argv
         assert hashlib.sha256(out.encode()).hexdigest() == digest, argv
     assert set(audits.AUDITS) == set(config.load_golden())
 
@@ -121,7 +126,7 @@ def test_usage_errors(capsys):
     code, _ = run(capsys, "cov-audit", "--regime", "near", "--x", "2.4")
     assert code == 2  # no near-diagonal pair on the m grid at this slope
     for argv in (("dispersion", "--N", "1,100"), ("dispersion", "--N", "0,100"),
-                 ("estimate-gamma", "--paths", "0"),
+                 ("aslt", "--paths", "0"), ("estimate-gamma", "--paths", "0"),
                  ("estimate-rho", "--x", "2", "--paths", "0")):
         code, _ = run(capsys, *argv)
         assert code == 2, argv  # a horizon below 2 or no paths
@@ -148,8 +153,19 @@ def test_cumulants_dump(capsys):
     assert "coeff,3,3,2" in lines  # leading coefficient of x(1-x)(1-2x)
 
 
-def test_output_file_respects_outdir(tmp_path, monkeypatch, capsys):
-    monkeypatch.setenv("DICKMANLAB_OUTDIR", str(tmp_path))
-    code, _ = run(capsys, "rho", "--x", "1", "--output", "r.csv")
-    assert code == 0
-    assert (tmp_path / "r.csv").read_text().splitlines()[1].startswith("1,1,")
+def test_output_file_gets_the_stdout_bytes(tmp_path, capsys):
+    path = tmp_path / "r.json"
+    _, stdout = run(capsys, "rho", "--x", "1,2", "--format", "json")
+    code, out = run(capsys, "rho", "--x", "1,2", "--format", "json", "--output", str(path))
+    assert code == 0 and out == ""
+    assert path.read_text() == stdout
+
+
+def test_x_below_one_warns_once():
+    env = dict(os.environ, PYTHONPATH=str(Path(dickmanlab.__file__).parents[1]))
+    proc = subprocess.run([sys.executable, "-m", "dickmanlab.cli", "aslt", "--x", "0.5",
+                           "--N", "1000", "--paths", "3"],
+                          env=env, capture_output=True, text=True)
+    assert proc.returncode == 0
+    lines = proc.stderr.splitlines()
+    assert len(lines) == 1 and lines[0].startswith("warning: x=0.5 < 1")

@@ -20,4 +20,5 @@ def test_demo_stdout_is_byte_identical(name):
     proc = subprocess.run([sys.executable, str(ROOT / "demos" / name)], env=env,
                           capture_output=True, timeout=120)
     assert proc.returncode == 0, proc.stderr.decode()
+    assert proc.stderr == b""
     assert hashlib.sha256(proc.stdout).hexdigest() == DIGESTS[name]

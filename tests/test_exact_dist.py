@@ -1,4 +1,3 @@
-import io
 import itertools
 import math
 from fractions import Fraction
@@ -262,15 +261,6 @@ def test_cov_split_matches_joint_identity():
     split = cov_Y(k, m, n)
     direct = (m * prob_at(head, m)) * (n * prob_at(inc, n - m) - n * joint)
     assert abs(split - direct) < 1e-14
-
-
-def test_csv_export():
-    buf = io.StringIO()
-    pmf(0, 3).to_csv(buf)
-    lines = buf.getvalue().strip().splitlines()
-    assert lines[0] == "value,probability"
-    assert len(lines) == 5
-    assert lines[1].startswith("1,0.3333333333333333")
 
 
 @given(p=st.integers(min_value=1, max_value=50), q=st.integers(min_value=1, max_value=50),

@@ -40,9 +40,12 @@ def test_path_invariants():
         sim.simulate_path(KAPPA1, 1, seed=7)
 
 
-def test_x_below_one_warns():
-    with pytest.warns(UserWarning):
-        sim.simulate_path(KappaSeq(0.5), 100, seed=1)
+def test_simulate_paths_reads_stream_i_of_seed_i():
+    seeds = [3, 3, 8]
+    assert sim.simulate_paths(KAPPA1, 5000, seeds) == [
+        sim.simulate_path(KAPPA1, 5000, s, i) for i, s in enumerate(seeds)]
+    with pytest.raises(ValueError):
+        sim.simulate_paths(KAPPA1, 5000, [])
 
 
 def test_walk_marks_are_prefix_counts():
