@@ -124,9 +124,9 @@ def cmd_audit(args) -> int:
     pairs = [(args.m, args.n)] if args.m is not None else audit.pairs(x)
     table = _table(args) if hasattr(args, "xmax") else None  # only w2 reads it
     rows = audit.rows(pairs, kappa, table)
-    _emit(args, [f.name for f in fields(audits.AuditRow)], [astuple(r) for r in rows])
     if not rows:
         raise ValueError(f"no {name} grid cells at x={x}")
+    _emit(args, [f.name for f in fields(audits.AuditRow)], [astuple(r) for r in rows])
     return _golden_gate(args, name, audit.solve(rows))
 
 

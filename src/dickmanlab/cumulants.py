@@ -96,15 +96,19 @@ def _cumulant_cached(j: int) -> CumulantPoly:
 def alpha_j(m: int, n: int, j: int) -> float:
     """Series coefficient sum_{k=m+1}^n k^{j-1} (k c_j(1/k) - 1) / (n - m).
 
-    Evaluated in exact rationals, converted to float at the very end.
+    Each term is the integer sum_i c_{j,i} k^{j-i} - k^{j-1} (c_j has
+    degree j), so the numerator is an exact integer and the one division
+    by n - m is correctly rounded.
     """
     if j < 1:
         raise ValueError(f"need j >= 1, got {j}")
     if not (2 <= m < n):
         raise ValueError(f"need 2 <= m < n, got m={m}, n={n}")
-    poly = _cumulant_cached(j)
-    total = Fraction(0)
+    coeffs = _cumulant_cached(j).coeffs
+    total = 0
     for k in range(m + 1, n + 1):
-        cjk = poly.eval_at(Fraction(1, k))
-        total += k ** (j - 1) * (k * cjk - 1)
-    return float(total / (n - m))
+        acc = 0
+        for c in coeffs:  # Horner for sum_i c_i k^(j-i)
+            acc = acc * k + c
+        total += acc - k ** (j - 1)
+    return float(Fraction(total, n - m))

@@ -1,12 +1,14 @@
 """Exact law of the weighted Bernoulli sum T = sum_{k=m+1}^n k * Z_k.
 
 Z_k are independent indicators with P(Z_k = 1) = 1/k.  The distribution
-is built by dynamic-programming convolution over the full integer support
-0..S, S = sum of the weights, so downstream power sums and Kolmogorov
-distances are exact relative to the DP.  ``pmf`` and the scans share one
-in-place DP step.  Readers of a few low atoms (``point_prob_scan``,
-``cov_Y``, the stimabase audit) cap the support at the largest value they
-read, which is exact because entry v depends only on entries <= v.
+is built by dynamic-programming convolution over the integer support
+0..S, S = sum of the weights.  ``pmf`` and the scans share one in-place DP
+step.  ``pmf`` returns the whole law; the scans and audits cap the
+support at the largest value they read, which is exact because entry v
+depends only on entries <= v.  Readers of a few low atoms
+(``point_prob_scan``, ``cov_Y``, the stimabase audit) stop at those
+atoms, ``kolmogorov_distance`` at x_max (n - m), and power sums at a
+Chernoff cap whose dropped tail is below 2^-60 of the sum.
 Default arithmetic is double precision; an exact-rational mode (capped at
 n <= 64) exists purely as an oracle.
 """
@@ -242,13 +244,42 @@ def point_prob_scan(kappa: KappaSeq, n_max: int) -> np.ndarray:
     return out
 
 
+def _power_sum_cap(n: int) -> int:
+    """Least y with min_s B_s(y) <= 2^-30/n, at most n(n+1)/2 (see power_sum_scan)."""
+    k = np.arange(1, n + 1, dtype=float)
+    budget = 30 * math.log(2) + math.log(n)
+    cap = n * (n + 1) // 2
+    for s in np.arange(1, 33) / (4 * n):  # s*n = 0.25, 0.5, .., 8
+        log_mgf = float(np.sum(np.log1p(np.expm1(s * k) / k)))
+        cap = min(cap, math.ceil((log_mgf + budget) / s))
+    return cap
+
+
 def power_sum_scan(n_list: Sequence[int]) -> dict[int, float]:
-    """Power sums of pmf(0, n) at several n from one incremental DP."""
+    """Power sums sum_v P(T_n = v)^2 at several n from one capped DP.
+
+    Each sum stops at v = cap(n), the least y with min_s B_s(y) <= 2^-30/n
+    over s*n in 0.25, 0.5, .., 8, capped at n(n+1)/2.  By Chernoff,
+    P(T_n > y) <= B_s(y) = exp(-s y + sum_{k<=n} log(1 + (e^{sk} - 1)/k)),
+    and for each s the least such y is ceil((log-sum + 30 log 2 + log n)/s).
+    The dropped part is at most P(T_n > cap)^2 <= 2^-60/n^2, and the sum
+    is at least P(T_n = 1)^2 = 1/n^2, so the cap moves the sum by at most
+    2^-60 of itself.  cap(n) is about 11n, so the scan is O(n_max cap).
+    One DP capped at the largest cap serves every n, and its prefix up to
+    cap(n) is exact, so each value depends on n alone.  The last bit can
+    depend on the BLAS thread count: a threaded dot over a long vector
+    sums in another order.
+    """
     n_list = sorted(set(int(n) for n in n_list))
     if n_list[0] < 1:
         raise ValueError("all n must be >= 1")
-    want = set(n_list)
-    return {k: float(np.dot(law, law)) for k, law in _steps(0, n_list[-1]) if k in want}
+    caps = {n: _power_sum_cap(n) for n in n_list}
+    out = {}
+    for k, law in _steps(0, n_list[-1], cap=max(caps.values())):
+        if k in caps:
+            head = law[: caps[k] + 1]
+            out[k] = float(np.dot(head, head))
+    return out
 
 
 def cov_Y(x_seq: KappaSeq, m: int, n: int) -> float:

@@ -123,8 +123,9 @@ def test_usage_errors(capsys):
     assert exc.value.code == 2
     code, _ = run(capsys, "pmf", "--n", "70", "--mode", "exact")
     assert code == 2  # beyond the exact-mode cap
-    code, _ = run(capsys, "cov-audit", "--regime", "near", "--x", "2.4")
+    code, out = run(capsys, "cov-audit", "--regime", "near", "--x", "2.4")
     assert code == 2  # no near-diagonal pair on the m grid at this slope
+    assert out == ""  # the usage error writes no report
     for argv in (("dispersion", "--N", "1,100"), ("dispersion", "--N", "0,100"),
                  ("aslt", "--paths", "0"), ("estimate-gamma", "--paths", "0"),
                  ("estimate-rho", "--x", "2", "--paths", "0")):

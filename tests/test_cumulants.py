@@ -105,3 +105,20 @@ def test_alpha_preconditions():
 def test_stirling_bridge_property(n, k):
     if k <= n:
         assert a_coeff(k, n) == (-1) ** (k + 1) * math.factorial(k) * stirling2(n, k)
+
+
+def alpha_j_rational(m, n, j):
+    """alpha_j by a Fraction loop over c_j(1/k), converted to float once."""
+    poly = cumulant_explicit(j) if j >= 2 else cumulant_recurrence(1)
+    total = Fraction(0)
+    for k in range(m + 1, n + 1):
+        total += k ** (j - 1) * (k * poly.eval_at(Fraction(1, k)) - 1)
+    return float(total / (n - m))
+
+
+@given(mn=st.tuples(st.integers(2, 300), st.integers(2, 300)).filter(lambda t: t[0] < t[1]),
+       j=st.integers(1, 12))
+@settings(max_examples=60, deadline=None)
+def test_alpha_j_is_the_rational_loop(mn, j):
+    m, n = mn
+    assert alpha_j(m, n, j) == alpha_j_rational(m, n, j)

@@ -1,5 +1,6 @@
 import itertools
 import math
+import tracemalloc
 from fractions import Fraction
 
 import numpy as np
@@ -12,6 +13,8 @@ from dickmanlab.exact_dist import (
     KappaSeq,
     Pmf,
     _law,
+    _power_sum_cap,
+    _steps,
     convolve,
     cov_Y,
     kolmogorov_distance,
@@ -115,6 +118,49 @@ def test_power_sums():
     scan = power_sum_scan([3, 12])
     assert scan[3] == pytest.approx(5 / 18, abs=1e-14)
     assert scan[12] == pytest.approx(power_sum(pmf(0, 12)), abs=1e-15)
+
+
+def test_power_sum_cap_drops_a_tail_below_its_bound():
+    """From the full law: P(T_n > cap) <= 2^-30/n and the dropped squares <= 2^-60 of the sum."""
+    for n, law in _steps(0, 400):
+        cap = _power_sum_cap(n)
+        assert cap <= n * (n + 1) // 2
+        if n >= 50:
+            assert cap < n * (n + 1) // 2
+        tail = law[cap + 1 :]
+        assert math.fsum(tail) <= 2.0**-30 / n, n
+        assert float(np.dot(tail, tail)) <= 2.0**-60 * float(np.dot(law, law)), n
+
+
+def test_power_sum_scan_matches_exact_rationals():
+    ns = [1, 2, 3, 7, 20, 41, 64]
+    scan = power_sum_scan(ns)
+    for n in ns:
+        exact = power_sum(pmf(0, n, mode="exact"))
+        assert abs(scan[n] - exact) <= 1e-15 * exact, n
+
+
+def test_power_sum_scan_matches_the_full_law():
+    ns = [50, 100, 237, 400, 600]
+    scan = power_sum_scan(ns)
+    for n in ns:
+        law = _law(0, n)
+        full = float(np.dot(law, law))
+        assert abs(scan[n] - full) <= 1e-15 * full, n
+
+
+def test_power_sum_scan_value_depends_on_n_alone():
+    assert power_sum_scan([400, 800])[400] == power_sum_scan([400])[400]
+
+
+def test_power_sum_scan_peak_memory_is_small():
+    tracemalloc.start()
+    try:
+        power_sum_scan([3000])
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert peak < 2 * 2**20
 
 
 def test_kolmogorov_distance_values(table):
