@@ -20,9 +20,10 @@ from .dickman import RhoTable, dickman_density
 from .exact_dist import (
     KappaSeq,
     Pmf,
+    _covariances,
     _kolmogorov_cap,
     _law,
-    cov_Y,
+    _laws,
     kolmogorov_distance,
     pmf,  # unused here; perfbench's tracer test reads it as audits.pmf
     point_prob_scan,
@@ -58,6 +59,8 @@ def llt_table(kappa: KappaSeq, n_list, table: RhoTable) -> list[AuditRow]:
     One truncated DP sweep covers every requested n.
     """
     n_list = sorted(set(int(n) for n in n_list))
+    if not n_list:
+        raise ValueError("need at least one n")
     probs = point_prob_scan(kappa, n_list[-1])
     x = kappa.x_float
     target = dickman_density(table, x)
@@ -74,20 +77,30 @@ def stimabase_check(m: int, n: int, kappa: KappaSeq) -> AuditRow:
     lhs = | d P(T_m^n = d) - P(d - n < T_m^n <= d - (m+1)) |  with
     d = kappa_n - kappa_m; only the law on 0..d, all the check reads, is built.
     """
-    if not (2 <= m < n):
-        raise ValueError(f"need 2 <= m < n, got m={m}, n={n}")
-    km, kn = kappa(m), kappa(n)
-    d = kn - km
-    if d <= 0:
-        raise ValueError(f"degenerate target: kappa_n - kappa_m = {d}")
-    probs = _law(m, n, cap=d)
-    lo = max(d - n + 1, 0)  # first value strictly above d - n
-    hi = min(d - (m + 1), len(probs) - 1)
-    window = float(probs[lo : hi + 1].sum()) if hi >= lo else 0.0
-    point = float(probs[d]) if d < len(probs) else 0.0
-    lhs = abs(d * point - window)
-    env = (1.0 + math.log(n / m)) / math.sqrt(n - m)
-    return AuditRow("stimabase", m, n, kappa.x_float, km, kn, lhs, env)
+    return _stimabase_rows([(m, n)], kappa)[0]
+
+
+def _stimabase_rows(pairs, kappa, table=None) -> list[AuditRow]:
+    """stimabase_check at every (m, n) pair, all laws built in one DP sweep."""
+    cells = []
+    for m, n in pairs:
+        if not (2 <= m < n):
+            raise ValueError(f"need 2 <= m < n, got m={m}, n={n}")
+        km, kn = kappa(m), kappa(n)
+        if kn - km <= 0:
+            raise ValueError(f"degenerate target: kappa_n - kappa_m = {kn - km}")
+        cells.append((m, n, km, kn, kn - km))
+    laws = _laws([(m, n, d) for m, n, _, _, d in cells])
+    rows = []
+    for (m, n, km, kn, d), probs in zip(cells, laws):
+        lo = max(d - n + 1, 0)  # first value strictly above d - n
+        hi = min(d - (m + 1), len(probs) - 1)
+        window = float(probs[lo : hi + 1].sum()) if hi >= lo else 0.0
+        point = float(probs[d]) if d < len(probs) else 0.0
+        lhs = abs(d * point - window)
+        env = (1.0 + math.log(n / m)) / math.sqrt(n - m)
+        rows.append(AuditRow("stimabase", m, n, kappa.x_float, km, kn, lhs, env))
+    return rows
 
 
 def w1_rows(m: int, n: int, c_const: float = 1.0) -> list[AuditRow]:
@@ -171,10 +184,14 @@ def covariance_audit(kappa: KappaSeq, pairs, c_const: float = 1.0,
     """
     if regime not in ("diag", "near", "far"):
         raise ValueError(f"unknown regime {regime!r}")
+    pairs = list(pairs)
+    for m, n in pairs:
+        if regime == "far" and m >= n:
+            raise ValueError(f"the far regime needs m < n, got m={m}, n={n}")
     x = kappa.x_float
     rows = []
-    for m, n in pairs:
-        c = abs(cov_Y(kappa, m, n))
+    for (m, n), cov in zip(pairs, _covariances(kappa, pairs)):
+        c = abs(cov)
         if regime == "diag":
             env = c_const * m
         elif regime == "near":
@@ -256,9 +273,7 @@ def _cov_audit(regime: str, grid) -> Audit:
 
 
 AUDITS: dict[str, Audit] = {a.key: a for a in (
-    Audit("stimabase", lambda x: config.stimabase_pairs(),
-          lambda pairs, kappa, table: [stimabase_check(m, n, kappa) for m, n in pairs],
-          _max_ratio),
+    Audit("stimabase", lambda x: config.stimabase_pairs(), _stimabase_rows, _max_ratio),
     Audit("w1", lambda x: config.W1_PAIRS,
           lambda pairs, kappa, table: [r for m, n in pairs for r in w1_rows(m, n)],
           _solve_w1),

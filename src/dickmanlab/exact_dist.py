@@ -2,13 +2,17 @@
 
 Z_k are independent indicators with P(Z_k = 1) = 1/k.  The distribution
 is built by dynamic-programming convolution over the integer support
-0..S, S = sum of the weights.  ``pmf`` and the scans share one in-place DP
-step.  ``pmf`` returns the whole law; the scans and audits cap the
-support at the largest value they read, which is exact because entry v
-depends only on entries <= v.  Readers of a few low atoms
-(``point_prob_scan``, ``cov_Y``, the stimabase audit) stop at those
-atoms, ``kolmogorov_distance`` at x_max (n - m), and power sums at a
-Chernoff cap whose dropped tail is below 2^-60 of the sum.
+0..S, S = sum of the weights.  One in-place DP kernel, ``_steps``, serves
+every float law.  It advances several blocks T_m^k with different starts
+m side by side, so ``_laws`` answers a batch of (m, n, cap) requests from
+one sweep, each bit for bit the law of a one-block DP; the covariance
+and stimabase audits build all the laws of a grid that way.  ``pmf``
+returns the whole law; the scans and audits cap the support at the
+largest value they read, which is exact because entry v depends only on
+entries <= v.  Readers of a few low atoms (``point_prob_scan``,
+``cov_Y``, the stimabase audit) stop at those atoms,
+``kolmogorov_distance`` at x_max (n - m), and power sums at a Chernoff
+cap whose dropped tail is below 2^-60 of the sum.
 Default arithmetic is double precision; an exact-rational mode (capped at
 n <= 64) exists purely as an oracle.
 """
@@ -97,41 +101,69 @@ class Pmf:
         return self.n - self.m
 
 
-def _steps(m: int, n: int, cap: int | None = None):
-    """Float DP over k = m+1 .. n, in place; yields (k, law of T_m^k on 0..top).
+def _steps(starts: Sequence[int], n: int, cap: int | None = None):
+    """Float DP over k = starts[0]+1 .. n, in place, for sorted block starts.
 
-    Update per weight k:  new[v] = old[v]*(1 - 1/k) + old[v-k]*(1/k).
-    The support top is S_k = sum_{j=m+1}^k j, or cap if smaller: entry v
-    depends only on entries <= v, so truncation leaves every kept entry
-    exact.  The yielded view is overwritten by the next step.
+    Yields (k, laws): column i of laws is the law of T_{starts[i]}^k on
+    0..top.  Update per weight k:  new[v] = old[v]*(1 - 1/k) + old[v-k]*(1/k),
+    on the columns with starts[i] < k only; the others stay a delta at 0.
+    The support top is S_k = sum_{j=starts[0]+1}^k j, or cap if smaller:
+    entry v depends only on entries <= v, so truncation leaves every kept
+    entry exact.  Each column gets the float operations of its one-block
+    DP (past its own support it adds zeros), so it is that law bit for
+    bit.  Laws run down the columns so that, once every column is live,
+    each slice over v is one contiguous block.  The yielded view is
+    overwritten by the next step.
     """
+    m = starts[0]
     size = (n * (n + 1) - m * (m + 1)) // 2
     if cap is not None:
         size = min(size, cap)
-    probs = np.zeros(size + 1)
-    probs[0] = 1.0
-    top = 0
+    laws = np.zeros((size + 1, len(starts)))
+    laws[0] = 1.0
+    top = started = 0
     for k in range(m + 1, n + 1):
+        while started < len(starts) and starts[started] < k:  # its first weight is k
+            started += 1
+            live = laws if started == len(starts) else laws[:, :started]
         p = 1.0 / k
         new_top = min(top + k, size)
-        moved = probs[: max(new_top - k + 1, 0)] * p
-        probs[: top + 1] *= 1.0 - p
-        probs[k : new_top + 1] += moved
+        moved = live[: max(new_top - k + 1, 0)] * p
+        live[: top + 1] *= 1.0 - p
+        live[k : new_top + 1] += moved
         top = new_top
-        yield k, probs[: top + 1]
+        yield k, laws[: top + 1]
+
+
+def _laws(requests: Sequence[tuple[int, int, int | None]]) -> list[np.ndarray]:
+    """Float laws of T_m^n on 0..min(S, cap), one per (m, n, cap), from one sweep.
+
+    Each is the prefix of the full law, bit for bit.  Laws taken before
+    the last step are copies; at the last step a one-block sweep's law is
+    returned as a view, without a copy.
+    """
+    if not requests:
+        return []
+    if not all(0 <= m < n for m, n, _ in requests):
+        raise ValueError(f"need 0 <= m < n in every request, got {list(requests)}")
+    starts = sorted({m for m, _, _ in requests})
+    n_max = max(n for _, n, _ in requests)
+    tops = [(n * (n + 1) - m * (m + 1)) // 2 for m, n, _ in requests]
+    tops = [t if cap is None else min(t, cap) for t, (_, _, cap) in zip(tops, requests)]
+    due: dict[int, list[int]] = {}
+    for j, (_, n, _) in enumerate(requests):
+        due.setdefault(n, []).append(j)
+    out: list = [None] * len(requests)
+    for k, laws in _steps(starts, n_max, cap=max(tops)):
+        for j in due.get(k, ()):
+            law = laws[: tops[j] + 1, starts.index(requests[j][0])]
+            out[j] = np.ascontiguousarray(law) if k == n_max else law.copy()
+    return out
 
 
 def _law(m: int, n: int, cap: int | None = None) -> np.ndarray:
     """Float law of T_m^n on 0..min(S, cap); the prefix of the full law, bit for bit."""
-    for _, probs in _steps(m, n, cap):
-        pass
-    return probs
-
-
-def _atom(m: int, n: int, v: int) -> float:
-    """P(T_m^n = v) from the law capped at v; zero off-support."""
-    law = _law(m, n, cap=max(v, 0))
-    return float(law[v]) if 0 <= v < len(law) else 0.0
+    return _laws([(m, n, cap)])[0]
 
 
 def pmf(m: int, n: int, mode: str = "float") -> Pmf:
@@ -236,11 +268,11 @@ def point_prob_scan(kappa: KappaSeq, n_max: int) -> np.ndarray:
     """
     if n_max < 1:
         raise ValueError(f"n_max must be >= 1, got {n_max}")
-    targets = kappa.values(range(1, n_max + 1))
+    targets = kappa.values(range(1, n_max + 1)).tolist()
     out = np.empty(n_max)
-    for k, law in _steps(0, n_max, cap=int(targets.max())):
+    for k, laws in _steps((0,), n_max, cap=max(targets)):
         t = targets[k - 1]
-        out[k - 1] = law[t] if t < len(law) else 0.0
+        out[k - 1] = laws[t, 0] if t < len(laws) else 0.0
     return out
 
 
@@ -271,13 +303,15 @@ def power_sum_scan(n_list: Sequence[int]) -> dict[int, float]:
     sums in another order.
     """
     n_list = sorted(set(int(n) for n in n_list))
+    if not n_list:
+        raise ValueError("need at least one n")
     if n_list[0] < 1:
         raise ValueError("all n must be >= 1")
     caps = {n: _power_sum_cap(n) for n in n_list}
     out = {}
-    for k, law in _steps(0, n_list[-1], cap=max(caps.values())):
+    for k, laws in _steps((0,), n_list[-1], cap=max(caps.values())):
         if k in caps:
-            head = law[: caps[k] + 1]
+            head = laws[: caps[k] + 1, 0]
             out[k] = float(np.dot(head, head))
     return out
 
@@ -290,16 +324,27 @@ def cov_Y(x_seq: KappaSeq, m: int, n: int) -> float:
         Cov = { m P(T_m = kappa_m) } * { n P(T_m^n = kappa_n - kappa_m)
                                          - n P(T_n = kappa_n) }.
     """
-    if not (2 <= m <= n):
-        raise ValueError(f"need 2 <= m <= n, got m={m}, n={n}")
-    km = x_seq(m)
-    if m == n:
-        p = _atom(0, m, km)
-        return m * m * (p - p * p)
-    kn = x_seq(n)
-    if kn - km < 0:
-        raise ValueError(f"kappa_n - kappa_m = {kn - km} < 0 at m={m}, n={n}")
-    pm = _atom(0, m, km)
-    p_inc = _atom(m, n, kn - km)
-    p_n = _atom(0, n, kn)
-    return (m * pm) * (n * p_inc - n * p_n)
+    return _covariances(x_seq, [(m, n)])[0]
+
+
+def _covariances(x_seq: KappaSeq, pairs) -> list[float]:
+    """cov_Y at every (m, n) pair, all atoms read from one DP sweep."""
+    atoms = []  # (m, n, v): the atom P(T_m^n = v), read from the law capped at v
+    for m, n in pairs:
+        if not (2 <= m <= n):
+            raise ValueError(f"need 2 <= m <= n, got m={m}, n={n}")
+        km, kn = x_seq(m), x_seq(n)
+        if kn - km < 0:
+            raise ValueError(f"kappa_n - kappa_m = {kn - km} < 0 at m={m}, n={n}")
+        atoms += [(0, m, km)] if m == n else [(0, m, km), (m, n, kn - km), (0, n, kn)]
+    laws = _laws(atoms)
+    p = iter([float(law[v]) if v < len(law) else 0.0 for law, (_, _, v) in zip(laws, atoms)])
+    out = []
+    for m, n in pairs:
+        pm = next(p)
+        if m == n:
+            out.append(m * m * (pm - pm * pm))
+        else:
+            p_inc, p_n = next(p), next(p)
+            out.append((m * pm) * (n * p_inc - n * p_n))
+    return out

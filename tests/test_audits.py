@@ -4,7 +4,7 @@ import tracemalloc
 import numpy as np
 import pytest
 
-from dickmanlab import audits, config
+from dickmanlab import audits, config, exact_dist
 from dickmanlab.exact_dist import KappaSeq, pmf, prob_at
 from dickmanlab.spectral import gamma_mn
 
@@ -142,3 +142,20 @@ def test_check_golden_detects_problems():
     stale = {"a": {"constant": 1.0, "grid_hash": "feedbeef"}}
     assert audits.check_golden({"a": 0.5}, stale)
     assert audits.check_golden({"a": 0.5}, golden) == []
+
+
+def test_each_audit_grid_is_one_dp_sweep(monkeypatch):
+    sweeps = []
+    steps = exact_dist._steps
+
+    def counted(*args, **kwargs):
+        sweeps.append(args)
+        return steps(*args, **kwargs)
+
+    monkeypatch.setattr(exact_dist, "_steps", counted)
+    rows = audits.covariance_audit(KappaSeq(2.0), config.cov_far_pairs(), regime="far")
+    assert len(rows) == len(config.cov_far_pairs()) and len(sweeps) == 1
+    sweeps.clear()
+    stimabase = audits.AUDITS["stimabase"]
+    rows = stimabase.rows(stimabase.pairs(1.0), KappaSeq(1.0), None)
+    assert len(rows) == len(config.stimabase_pairs()) and len(sweeps) == 1

@@ -126,6 +126,11 @@ def test_usage_errors(capsys):
     code, out = run(capsys, "cov-audit", "--regime", "near", "--x", "2.4")
     assert code == 2  # no near-diagonal pair on the m grid at this slope
     assert out == ""  # the usage error writes no report
+    for argv in (("cov-audit", "--regime", "far", "--m", "3", "--n", "3"),
+                 ("zs", "--n", ","), ("llt-table", "--n", ",")):
+        code, out = run(capsys, *argv)
+        assert code == 2, argv  # a far pair needs m < n; a table needs some n
+        assert out == "", argv
     for argv in (("dispersion", "--N", "1,100"), ("dispersion", "--N", "0,100"),
                  ("aslt", "--paths", "0"), ("estimate-gamma", "--paths", "0"),
                  ("estimate-rho", "--x", "2", "--paths", "0")):

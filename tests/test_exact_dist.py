@@ -13,6 +13,7 @@ from dickmanlab.exact_dist import (
     KappaSeq,
     Pmf,
     _law,
+    _laws,
     _power_sum_cap,
     _steps,
     convolve,
@@ -122,7 +123,8 @@ def test_power_sums():
 
 def test_power_sum_cap_drops_a_tail_below_its_bound():
     """From the full law: P(T_n > cap) <= 2^-30/n and the dropped squares <= 2^-60 of the sum."""
-    for n, law in _steps(0, 400):
+    for n, laws in _steps((0,), 400):
+        law = laws[:, 0]
         cap = _power_sum_cap(n)
         assert cap <= n * (n + 1) // 2
         if n >= 50:
@@ -269,6 +271,47 @@ def test_point_prob_scan_matches_full_dp():
     scan = point_prob_scan(k15, 40)
     for n in (5, 21, 40):
         assert scan[n - 1] == pytest.approx(prob_at(pmf(0, n), k15(n)), abs=1e-15)
+
+
+def one_block_law(m, n, cap=None):
+    """The one-block float DP over k = m+1 .. n, the reference each batched law must match."""
+    size = (n * (n + 1) - m * (m + 1)) // 2
+    if cap is not None:
+        size = min(size, cap)
+    probs = np.zeros(size + 1)
+    probs[0] = 1.0
+    top = 0
+    for k in range(m + 1, n + 1):
+        p = 1.0 / k
+        new_top = min(top + k, size)
+        moved = probs[: max(new_top - k + 1, 0)] * p
+        probs[: top + 1] *= 1.0 - p
+        probs[k : new_top + 1] += moved
+        top = new_top
+    return probs
+
+
+@st.composite
+def law_requests(draw):
+    """Up to 8 requests (m, n, cap), 0 <= m < n <= 200, drawing m from a small pool."""
+    starts = draw(st.lists(st.integers(0, 199), min_size=1, max_size=3))
+    requests = []
+    for _ in range(draw(st.integers(1, 8))):
+        m = draw(st.sampled_from(starts))
+        n = draw(st.integers(m + 1, 200))
+        S = (n * (n + 1) - m * (m + 1)) // 2
+        cap = draw(st.one_of(st.none(), st.just(0), st.integers(0, S - 1), st.just(S),
+                             st.integers(S + 1, 2 * S + 5)))
+        requests.append((m, n, cap))
+    return requests
+
+
+@given(requests=law_requests())
+@example(requests=[(0, 200, None), (0, 200, 0), (3, 7, 2), (3, 50, 25), (199, 200, 400)])
+@settings(max_examples=60, deadline=None)
+def test_batched_laws_are_the_one_block_laws_bit_for_bit(requests):
+    for (m, n, cap), law in zip(requests, _laws(requests), strict=True):
+        assert law.tobytes() == one_block_law(m, n, cap).tobytes(), (m, n, cap)
 
 
 @pytest.mark.parametrize("m,n", [(0, 1), (0, 12), (3, 20), (10, 60)])
