@@ -24,9 +24,9 @@ from .exact_dist import (
     _kolmogorov_cap,
     _law,
     _laws,
+    _point_probs,
     kolmogorov_distance,
     pmf,  # unused here; perfbench's tracer test reads it as audits.pmf
-    point_prob_scan,
     power_sum_scan,
 )
 from .spectral import (Envelope, chi, f_envelope, g_envelope, gamma_grid, l2_cf_limit,
@@ -56,19 +56,21 @@ class AuditRow:
 def llt_table(kappa: KappaSeq, n_list, table: RhoTable) -> list[AuditRow]:
     """Point-probability convergence: lhs = n P(T_n = kappa_n), target e^-g rho(x).
 
-    One truncated DP sweep covers every requested n.
+    One DP sweep reads every requested n (``_point_probs``).  It keeps u_k
+    only up to R - k - 1, R the largest target still to be read, and carries
+    each pending target t above that as the chain
+    c <- c (1 - 1/k) + u_{k-1}(t - k) (1/k), the DP's own float operations,
+    so each lhs is n * point_prob_scan(kappa, n)[n - 1] bit for bit.
     """
     n_list = sorted(set(int(n) for n in n_list))
     if not n_list:
         raise ValueError("need at least one n")
-    probs = point_prob_scan(kappa, n_list[-1])
+    if n_list[0] < 1:
+        raise ValueError(f"all n must be >= 1, got {n_list[0]}")
     x = kappa.x_float
     target = dickman_density(table, x)
-    rows = []
-    for n in n_list:
-        lhs = n * probs[n - 1]
-        rows.append(AuditRow("llt", 0, n, x, 0, kappa(n), lhs, target))
-    return rows
+    return [AuditRow("llt", 0, n, x, 0, kappa(n), n * p, target)
+            for n, p in zip(n_list, _point_probs(kappa, n_list))]
 
 
 def stimabase_check(m: int, n: int, kappa: KappaSeq) -> AuditRow:
@@ -118,7 +120,7 @@ def w1_rows(m: int, n: int, c_const: float = 1.0) -> list[AuditRow]:
 def w2_check(m: int, n: int, table: RhoTable, c_const: float = 1.0) -> AuditRow:
     """Kolmogorov distance of T_m^n/(n-m) to the Dickman CDF vs g envelope."""
     env = Envelope(m, n, c_const)
-    law = _law(m, n, cap=_kolmogorov_cap(table, n - m))
+    law = _law(m, n, cap=_kolmogorov_cap(table, m, n))
     lhs = kolmogorov_distance(Pmf(m, n, law, "float"), table)
     return AuditRow("w2", m, n, float("nan"), 0, 0, lhs, g_envelope(env))
 
@@ -178,17 +180,23 @@ def covariance_audit(kappa: KappaSeq, pairs, c_const: float = 1.0,
                      regime: str = "far") -> list[AuditRow]:
     """Exact |Cov(Y_m, Y_n)| against the regime-appropriate bound.
 
-    Regimes: "diag" (envelope C*m), "near" (envelope C), "far" (envelope
-    C times the chi-assembled aggregate, with the inner g evaluated at
-    constant 1).
+    Regimes: "diag" (m = n, envelope C*m), "near" (m < n <= sigma m with
+    sigma = sigma_band(x, COV_EPS), envelope C), "far" (m < n, envelope C
+    times the chi-assembled aggregate, with the inner g evaluated at
+    constant 1).  A pair outside its regime raises ValueError.
     """
     if regime not in ("diag", "near", "far"):
         raise ValueError(f"unknown regime {regime!r}")
     pairs = list(pairs)
+    x = kappa.x_float
+    sigma = sigma_band(x, config.COV_EPS) if regime == "near" else None
     for m, n in pairs:
+        if regime == "diag" and m != n:
+            raise ValueError(f"the diag regime needs m = n, got m={m}, n={n}")
+        if regime == "near" and not m < n <= sigma * m:
+            raise ValueError(f"the near regime needs m < n <= {sigma:.6g} m, got m={m}, n={n}")
         if regime == "far" and m >= n:
             raise ValueError(f"the far regime needs m < n, got m={m}, n={n}")
-    x = kappa.x_float
     rows = []
     for (m, n), cov in zip(pairs, _covariances(kappa, pairs)):
         c = abs(cov)

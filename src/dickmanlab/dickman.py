@@ -12,6 +12,7 @@ that table.  Built tables are immutable and safe to share across threads.
 """
 from __future__ import annotations
 
+import functools
 import math
 from dataclasses import dataclass
 
@@ -70,6 +71,12 @@ class RhoTable:
     @property
     def nodes_per_unit(self) -> int:
         return round(1.0 / self.step)
+
+    @functools.cached_property
+    def cdf_gap(self) -> np.ndarray:
+        """cdf_gap[j]: the largest |1 - D| over the nodes j, j+1, .. (D = dickman_cdf)."""
+        gap = np.abs(1.0 - math.exp(-EULER_GAMMA) * self.cum_rho)
+        return np.maximum.accumulate(gap[::-1])[::-1]
 
     def _check_range(self, x, what: str = "x") -> None:
         """Raise unless x (a float or an array of them) lies in [0, x_max]."""

@@ -10,14 +10,21 @@ and stimabase audits build all the laws of a grid that way.  ``pmf``
 returns the whole law; the scans and audits cap the support at the
 largest value they read, which is exact because entry v depends only on
 entries <= v.  Readers of a few low atoms (``point_prob_scan``,
-``cov_Y``, the stimabase audit) stop at those atoms,
-``kolmogorov_distance`` at x_max (n - m), and power sums at a Chernoff
-cap whose dropped tail is below 2^-60 of the sum.
+``cov_Y``, the stimabase audit) stop at those atoms, and power sums at a
+Chernoff cap whose dropped tail is below 2^-60 of the sum.  A reader of
+listed rows (``_point_probs``) also lets the top fall as the sweep nears
+them: after step k only entries up to R - k - 1 can still reach a read at
+target R, except the targets themselves, which it carries as float chains
+with the DP's own operations.  ``kolmogorov_distance`` reads up to
+x_max (n - m), or accepts a shorter law when its dropped tail plus the
+Dickman tail is certified below the distance found; the w2 audit builds
+its law only to such a cap, 4 to 5.4 (n - m) on its pairs.
 Default arithmetic is double precision; an exact-rational mode (capped at
 n <= 64) exists purely as an oracle.
 """
 from __future__ import annotations
 
+import itertools
 import math
 from dataclasses import dataclass
 from fractions import Fraction
@@ -87,8 +94,8 @@ class KappaSeq:
 class Pmf:
     """Probability mass function of T_m^n on its full support 0..S.
 
-    kolmogorov_distance alone also accepts a float law capped at the
-    largest value it reads (``_law(m, n, cap)``).
+    kolmogorov_distance alone also accepts a float prefix of the law
+    (``_law(m, n, cap)``), such as one capped at ``_kolmogorov_cap``.
     """
 
     m: int
@@ -101,7 +108,8 @@ class Pmf:
         return self.n - self.m
 
 
-def _steps(starts: Sequence[int], n: int, cap: int | None = None):
+def _steps(starts: Sequence[int], n: int, cap: int | None = None,
+           reach: Sequence[int] | None = None):
     """Float DP over k = starts[0]+1 .. n, in place, for sorted block starts.
 
     Yields (k, laws): column i of laws is the law of T_{starts[i]}^k on
@@ -109,11 +117,16 @@ def _steps(starts: Sequence[int], n: int, cap: int | None = None):
     on the columns with starts[i] < k only; the others stay a delta at 0.
     The support top is S_k = sum_{j=starts[0]+1}^k j, or cap if smaller:
     entry v depends only on entries <= v, so truncation leaves every kept
-    entry exact.  Each column gets the float operations of its one-block
-    DP (past its own support it adds zeros), so it is that law bit for
-    bit.  Laws run down the columns so that, once every column is live,
-    each slice over v is one contiguous block.  The yielded view is
-    overwritten by the next step.
+    entry exact.  With ``reach``, where reach[k] is the largest value read
+    after step k (-1 for none), the top also falls to reach[k] - k - 1 (but
+    not below 0): entry v of u_k reaches u_j(t), j > k, only through
+    entries t - (sum of weights in k+1..j), so an entry above reach[k] - k - 1
+    matters only as some later read's own target t, which its reader
+    carries itself (see ``_point_probs``).  Each column gets the float
+    operations of its one-block DP (past its own support it adds zeros),
+    so it is that law bit for bit.  Laws run down the columns so that,
+    once every column is live, each slice over v is one contiguous block.
+    The yielded view is overwritten by the next step.
     """
     m = starts[0]
     size = (n * (n + 1) - m * (m + 1)) // 2
@@ -128,9 +141,12 @@ def _steps(starts: Sequence[int], n: int, cap: int | None = None):
             live = laws if started == len(starts) else laws[:, :started]
         p = 1.0 / k
         new_top = min(top + k, size)
+        if reach is not None:  # once it falls it stays down, so stale entries go unread
+            new_top = max(min(new_top, reach[k] - k - 1), 0)
         moved = live[: max(new_top - k + 1, 0)] * p
-        live[: top + 1] *= 1.0 - p
+        live[: min(top, new_top) + 1] *= 1.0 - p
         live[k : new_top + 1] += moved
+        del moved  # free it before the next step allocates its own
         top = new_top
         yield k, laws[: top + 1]
 
@@ -204,19 +220,57 @@ def scaled_cdf(dist: Pmf, x: float) -> float:
     return float(np.sum(np.asarray(dist.probs, dtype=float)[: idx + 1]))
 
 
-def _kolmogorov_cap(table: RhoTable, span: int) -> int:
-    """Largest value kolmogorov_distance reads: floor(x_max * span)."""
-    return math.floor(table.x_max * span)
+def _dickman_tail(table: RhoTable, x: float) -> float:
+    """A bound on sup_{x' >= x} |1 - D(x')|, D = dickman_cdf on this table.
+
+    D(x') is a node value or a cubic stencil over nodes at or above
+    floor(x / step) - 3; the stencil's weights sum to 1 and their absolute
+    values to at most 1.64.  So twice the largest |1 - D| over those nodes
+    bounds it, and 2^-40 covers the rounding (below 1e-14).
+    """
+    return 2.0 * float(table.cdf_gap[max(math.floor(x / table.step) - 3, 0)]) + 2.0**-40
+
+
+def _kolmogorov_cap(table: RhoTable, m: int, n: int) -> int:
+    """Largest value kolmogorov_distance needs of the law of T_m^n.
+
+    That is floor(x_max (n-m)) for m = 0.  For m >= 1 it is the least y,
+    up to that, with both P(T_m^n > y) <= m/(4n) by Chernoff and
+    _dickman_tail(y/(n-m)) <= m/(4n): then the distance, at least the jump
+    m/n at 0, passes the tail check in kolmogorov_distance.
+    """
+    span = n - m
+    full = math.floor(table.x_max * span)
+    if m == 0:
+        return full
+    bound = m / (4 * n)
+    lo, hi = min(_chernoff_cap(m, n, -math.log(bound)), full), full
+    while lo < hi:  # the least y in [lo, full] with a Dickman tail <= bound
+        mid = (lo + hi) // 2
+        if _dickman_tail(table, mid / span) <= bound:
+            hi = mid
+        else:
+            lo = mid + 1
+    return hi
 
 
 def kolmogorov_distance(dist: Pmf, table: RhoTable) -> float:
     """sup_x | P(T_m^n/(n-m) <= x) - D(x) |, taken over the atom jump points.
 
     The reference CDF is evaluated on both sides of each atom.  Only atoms
-    up to cap = floor(x_max (n-m)) are read, and a law capped there (a
-    prefix of the full law) will do: every atom past the cap is within
+    up to cap = floor(x_max (n-m)) are read: every atom past it is within
     1 - F(cap) of D = 1 on both sides, valid because the Dickman tail
     beyond x_max >= 15 is far below the distances measured here.
+
+    A law that stops at y < cap (a prefix of the full law) is accepted
+    only if  tail = (1 - F(y)) + _dickman_tail(y/(n-m)) + (n + cap) 2^-50
+    is below the distance d found on 0..y; otherwise it raises ValueError.
+    Each dropped atom's two terms are then at most the tail: its cdf lies
+    between F(y) and the law's computed mass, and D within _dickman_tail
+    of 1.  The margin (n + cap) 2^-50 is over twice the float drift of a
+    computed cdf above 1, at most 2n 2^-53 from the DP's mass and cap 2^-53
+    from the cumulative sum.  The cdf prefix and the D values are the same
+    floats as for the full law, so d is its distance bit for bit.
     """
     span = dist.span
     top = (dist.n * (dist.n + 1) - dist.m * (dist.m + 1)) // 2
@@ -224,16 +278,20 @@ def kolmogorov_distance(dist: Pmf, table: RhoTable) -> float:
         raise ValueError(
             f"table x_max={table.x_max} too short for scaled support up to {top / span:.3g}"
         )
-    cap = min(top, _kolmogorov_cap(table, span))
-    if len(dist.probs) <= cap:
-        raise ValueError(f"law stops at {len(dist.probs) - 1}, below the cap {cap}")
+    cap = min(top, math.floor(table.x_max * span))
     probs = np.asarray(dist.probs[: cap + 1], dtype=float)
     cdf = np.cumsum(probs)
     atoms = np.flatnonzero(probs)
     right = cdf[atoms]
     d = dickman_cdf(table, atoms / span)
     out = max(np.abs(right - d).max(), np.abs((right - probs[atoms]) - d).max())
-    if cap < top:
+    y = len(probs) - 1
+    if y < cap:
+        tail = (1.0 - cdf[-1]) + _dickman_tail(table, y / span) + (dist.n + cap) * 2.0**-50
+        if not tail < out:
+            raise ValueError(f"law stops at {y}, and its tail bound {tail:.3g} is not "
+                             f"below the distance {out:.3g}")
+    elif cap < top:
         out = max(out, abs(1.0 - cdf[-1]))
     return float(out)
 
@@ -264,7 +322,8 @@ def point_prob_scan(kappa: KappaSeq, n_max: int) -> np.ndarray:
 
     DP entries at index v depend only on indices <= v, so capping the
     support at max(kappa_n) keeps every recorded probability exact while
-    the sweep stays O(n_max * cap) instead of O(n_max^3).
+    the sweep stays O(n_max * cap) instead of O(n_max^3).  This is the
+    reader for every n; ``_point_probs`` reads a few listed rows.
     """
     if n_max < 1:
         raise ValueError(f"n_max must be >= 1, got {n_max}")
@@ -276,15 +335,70 @@ def point_prob_scan(kappa: KappaSeq, n_max: int) -> np.ndarray:
     return out
 
 
-def _power_sum_cap(n: int) -> int:
-    """Least y with min_s B_s(y) <= 2^-30/n, at most n(n+1)/2 (see power_sum_scan)."""
-    k = np.arange(1, n + 1, dtype=float)
-    budget = 30 * math.log(2) + math.log(n)
-    cap = n * (n + 1) // 2
-    for s in np.arange(1, 33) / (4 * n):  # s*n = 0.25, 0.5, .., 8
+def _point_probs(kappa: KappaSeq, ns: Sequence[int]) -> list[float]:
+    """P(T_n = kappa_n) at each n of the sorted distinct ns >= 1, from one sweep.
+
+    Each value is point_prob_scan(kappa, n)[n - 1] bit for bit.  The sweep
+    keeps u_k only up to reach[k] - k - 1 (see ``_steps``), where reach[k]
+    is the largest target of a row after step k.  A pending target t above
+    that top is carried as a float chain: from u_k, before the sweep
+    overwrites it,  c <- c*(1 - 1/(k+1)) + u_k(t - k - 1)*(1/(k+1)),  the
+    DP's own two products and one sum at entry t.  A chain starts from u_k(t)
+    (zero past the support) at the last step that still kept t, and u_0 is
+    the delta at 0.  kappa is nondecreasing, so the chained targets are the
+    largest pending ones.
+    """
+    targets = kappa.values(ns).tolist()
+    n_max = ns[-1]
+    reach = np.full(n_max + 1, -1, dtype=np.int64)
+    reach[np.asarray(ns) - 1] = targets  # the row read after step n - 1
+    reach = np.maximum.accumulate(reach[::-1])[::-1].tolist()
+    out = []
+    chains: dict[int, float] = {}  # t -> u_k(t), for targets above the kept top
+    lo, hi = 0, len(ns)  # rows[lo:] are pending; rows[hi:] are chained
+    sweep = _steps((0,), n_max, cap=max(targets), reach=reach)
+    for k, laws in itertools.chain([(0, np.ones((1, 1)))], sweep):
+        u = laws[:, 0]
+        if ns[lo] == k:
+            t = targets[lo]
+            out.append(chains[t] if t in chains else float(u[t]) if t < len(u) else 0.0)
+            lo += 1
+            if lo == len(ns):
+                break
+            if targets[lo] != t:
+                chains.pop(t, None)
+        bound = reach[k + 1] - k - 2  # step k + 1 keeps no entry above it
+        while hi > lo and targets[hi - 1] > bound:
+            hi -= 1
+            t = targets[hi]
+            if t not in chains:
+                chains[t] = float(u[t]) if t < len(u) else 0.0
+        p = 1.0 / (k + 1)
+        q = 1.0 - p
+        for t, c in chains.items():
+            v = t - k - 1
+            chains[t] = c * q + (float(u[v]) if 0 <= v < len(u) else 0.0) * p
+    return out
+
+
+def _chernoff_cap(m: int, n: int, budget: float) -> int:
+    """Least y with min_s B_s(y) <= e^-budget over s n in 0.25, 0.5, .., 8, at most S.
+
+    By Chernoff, P(T_m^n > y) <= B_s(y)
+    = exp(-s y + sum_{m<k<=n} log(1 + (e^{sk} - 1)/k)), and for each s the
+    least such y is ceil((log-sum + budget)/s).
+    """
+    k = np.arange(m + 1, n + 1, dtype=float)
+    cap = (n * (n + 1) - m * (m + 1)) // 2
+    for s in np.arange(1, 33) / (4 * n):
         log_mgf = float(np.sum(np.log1p(np.expm1(s * k) / k)))
         cap = min(cap, math.ceil((log_mgf + budget) / s))
     return cap
+
+
+def _power_sum_cap(n: int) -> int:
+    """Least y with min_s B_s(y) <= 2^-30/n, at most n(n+1)/2 (see power_sum_scan)."""
+    return _chernoff_cap(0, n, 30 * math.log(2) + math.log(n))
 
 
 def power_sum_scan(n_list: Sequence[int]) -> dict[int, float]:

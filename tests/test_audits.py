@@ -144,6 +144,23 @@ def test_check_golden_detects_problems():
     assert audits.check_golden({"a": 0.5}, golden) == []
 
 
+def test_audit_laws_stop_where_their_reads_do(monkeypatch, table):
+    cells, widest = [0], [0]
+    steps = exact_dist._steps
+
+    def counted(*args, **kwargs):
+        for k, laws in steps(*args, **kwargs):
+            cells[0] += len(laws)
+            widest[0] = max(widest[0], len(laws))
+            yield k, laws
+
+    monkeypatch.setattr(exact_dist, "_steps", counted)
+    audits.llt_table(KappaSeq(1), [1000, 4000], table)
+    assert cells[0] <= 0.55 * 15_769_480  # the sweep capped at kappa_4000 alone
+    audits.w2_check(20, 1500, table)
+    assert widest[0] < 8000  # floor(x_max (n - m)) + 1 = 44,401
+
+
 def test_each_audit_grid_is_one_dp_sweep(monkeypatch):
     sweeps = []
     steps = exact_dist._steps

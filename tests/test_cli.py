@@ -127,9 +127,11 @@ def test_usage_errors(capsys):
     assert code == 2  # no near-diagonal pair on the m grid at this slope
     assert out == ""  # the usage error writes no report
     for argv in (("cov-audit", "--regime", "far", "--m", "3", "--n", "3"),
-                 ("zs", "--n", ","), ("llt-table", "--n", ",")):
+                 ("cov-audit", "--regime", "diag", "--m", "2", "--n", "5"),
+                 ("cov-audit", "--regime", "near", "--m", "5", "--n", "50"),
+                 ("zs", "--n", ","), ("llt-table", "--n", ","), ("llt-table", "--n", "0,5")):
         code, out = run(capsys, *argv)
-        assert code == 2, argv  # a far pair needs m < n; a table needs some n
+        assert code == 2, argv  # a pair outside its regime; a table needs some n >= 1
         assert out == "", argv
     for argv in (("dispersion", "--N", "1,100"), ("dispersion", "--N", "0,100"),
                  ("aslt", "--paths", "0"), ("estimate-gamma", "--paths", "0"),

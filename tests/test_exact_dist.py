@@ -8,12 +8,17 @@ import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
+from dickmanlab.audits import w2_check
 from dickmanlab.dickman import build_rho_table, dickman_cdf
 from dickmanlab.exact_dist import (
     KappaSeq,
     Pmf,
+    _chernoff_cap,
+    _dickman_tail,
+    _kolmogorov_cap,
     _law,
     _laws,
+    _point_probs,
     _power_sum_cap,
     _steps,
     convolve,
@@ -134,6 +139,12 @@ def test_power_sum_cap_drops_a_tail_below_its_bound():
         assert float(np.dot(tail, tail)) <= 2.0**-60 * float(np.dot(law, law)), n
 
 
+def test_power_sum_caps_are_frozen():
+    # recorded before the Chernoff bound moved into a helper shared with the Kolmogorov cap
+    caps = {1: 1, 2: 3, 10: 55, 150: 1583, 1500: 17054, 3000: 34699}
+    assert {n: _power_sum_cap(n) for n in caps} == caps
+
+
 def test_power_sum_scan_matches_exact_rationals():
     ns = [1, 2, 3, 7, 20, 41, 64]
     scan = power_sum_scan(ns)
@@ -204,8 +215,68 @@ def test_kolmogorov_distance_is_the_per_atom_loop(table, table16, m, n):
         capped = Pmf(m, n, _law(m, n, cap), "float")
         assert kolmogorov_distance(capped, tab) == want
         if cap < len(dist.probs) - 1:
-            with pytest.raises(ValueError):  # a law that stops short of the cap
-                kolmogorov_distance(Pmf(m, n, _law(m, n, cap - 1), "float"), tab)
+            # one atom short of the cap, the tail check passes, and the value stays
+            assert kolmogorov_distance(Pmf(m, n, _law(m, n, cap - 1), "float"), tab) == want
+            with pytest.raises(ValueError):  # a law too short for the tail check
+                kolmogorov_distance(Pmf(m, n, _law(m, n, n - m), "float"), tab)
+
+
+def test_full_law_peak_memory_is_small():
+    # the law of T_600 is 1.38 MB; each step's temporary is freed before the next
+    tracemalloc.start()
+    try:
+        pmf(0, 600)
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert peak < 3.5 * 2**20
+
+
+@given(mn=st.integers(2, 600).flatmap(lambda n: st.tuples(st.integers(1, n - 1), st.just(n))))
+@example(mn=(1, 2))
+@example(mn=(2, 600))
+@example(mn=(599, 600))
+@settings(max_examples=25, deadline=None)
+def test_kolmogorov_cap_leaves_the_distance_unchanged(table, table16, mn):
+    m, n = mn
+    full = pmf(m, n)
+    for tab in (table, table16):
+        want = kolmogorov_distance(full, tab)
+        capped = _law(m, n, _kolmogorov_cap(tab, m, n))
+        assert kolmogorov_distance(Pmf(m, n, capped, "float"), tab) == want
+        if m >= 2:
+            assert w2_check(m, n, tab).lhs == want
+
+
+@pytest.mark.parametrize("m,n", [(0, 40), (1, 2), (2, 40), (5, 50), (20, 600), (100, 1000),
+                                 (599, 600)])
+def test_kolmogorov_cap_is_the_least_certified_value(table, m, n):
+    span, full = n - m, math.floor(table.x_max * (n - m))
+    if m == 0:
+        assert _kolmogorov_cap(table, m, n) == full
+        return
+    bound = m / (4 * n)
+    dickman = [y for y in range(full + 1) if _dickman_tail(table, y / span) <= bound]
+    want = min(full, max(_chernoff_cap(m, n, -math.log(bound)), min(dickman, default=full)))
+    assert _kolmogorov_cap(table, m, n) == want
+    assert math.fsum(pmf(m, n).probs[want + 1 :]) <= bound
+
+
+def test_short_law_with_a_heavy_tail_raises(table):
+    # a prefix holding 0.1 at 0 and nothing else up to scaled x = 10: the
+    # distance found on it is 0.1, but the missing mass 0.9 could sit anywhere
+    probs = np.zeros(381)
+    probs[0] = 0.1
+    with pytest.raises(ValueError):
+        kolmogorov_distance(Pmf(2, 40, probs, "float"), table)
+
+
+@given(x=st.floats(0.0, 30.0), dx=st.floats(0.0, 30.0))
+@settings(max_examples=60, deadline=None)
+def test_dickman_tail_bounds_the_cdf_gap(table16, x, dx):
+    x = min(x, table16.x_max)
+    xs = np.linspace(x, min(x + dx, table16.x_max), 257)
+    assert np.abs(1.0 - dickman_cdf(table16, xs)).max() <= _dickman_tail(table16, x)
 
 
 def test_kolmogorov_needs_long_table():
@@ -271,6 +342,28 @@ def test_point_prob_scan_matches_full_dp():
     scan = point_prob_scan(k15, 40)
     for n in (5, 21, 40):
         assert scan[n - 1] == pytest.approx(prob_at(pmf(0, n), k15(n)), abs=1e-15)
+
+
+slopes = st.one_of(
+    st.integers(10**15, 10**17).map(lambda d: d / 10**16),  # 17 digits, x < 1 included
+    st.fractions(Fraction(1, 20), Fraction(8), max_denominator=20),
+)
+
+
+@given(x=slopes, mode=st.sampled_from(["floor", "round"]),
+       ns=st.lists(st.integers(1, 400), min_size=1, max_size=6))
+@example(x=Fraction(1), mode="floor", ns=[1])
+@example(x=Fraction(5), mode="floor", ns=[1, 2, 3])  # targets past S_n
+@example(x=Fraction(3, 10), mode="round", ns=[1, 2, 3, 4])
+@example(x=Fraction(1, 20), mode="floor", ns=[1, 19, 20, 21])  # tiny targets
+@example(x=Fraction(1), mode="floor", ns=list(range(1, 41)))
+@settings(max_examples=80, deadline=None)
+def test_point_probs_is_the_scan_bit_for_bit(x, mode, ns):
+    kappa = KappaSeq(x, mode)
+    ns = sorted(set(ns))
+    scan = point_prob_scan(kappa, ns[-1])
+    got = np.array(_point_probs(kappa, ns))
+    assert got.tobytes() == scan[np.array(ns) - 1].tobytes()
 
 
 def one_block_law(m, n, cap=None):
