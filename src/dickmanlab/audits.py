@@ -3,9 +3,16 @@
 Every left-hand side here comes from the exact DP distributions, never
 from simulation.  Each audit reports AuditRow records (identifiers, lhs,
 envelope, ratio).  AUDITS holds one record per golden constant: its
-default grid from config, its rows and the solver for the smallest
-constant making the bound hold there.  run_calibration and the CLI's
-golden gate both go through it.
+default grid from config, how it plans its rows and the solver for the
+smallest constant making the bound hold there.  run_calibration and the
+CLI's golden gate both go through it.
+
+Audits plan, then read.  An audit's plan validates its cells and states
+every DP law its rows read as an (m, n, cap) request; one ``_laws`` sweep
+builds the book {(m, n, cap): law} for the requests, and the plan's reader
+takes its rows from the book.  run_calibration builds one book for every
+audit and slope at once; a one-cell or one-grid function such as
+``stimabase_check`` is the same plan with a book of its own.
 """
 from __future__ import annotations
 
@@ -20,16 +27,16 @@ from .dickman import RhoTable, dickman_density
 from .exact_dist import (
     KappaSeq,
     Pmf,
+    _cov_atoms,
     _covariances,
     _kolmogorov_cap,
-    _law,
-    _laws,
+    _law_book,
     _point_probs,
     kolmogorov_distance,
     pmf,  # unused here; perfbench's tracer test reads it as audits.pmf
     power_sum_scan,
 )
-from .spectral import (Envelope, chi, f_envelope, g_envelope, gamma_grid, l2_cf_limit,
+from .spectral import (Envelope, chi, f_envelope, g_envelope, gamma_grids, l2_cf_limit,
                        l2_cf_parseval, phi_T, phi_dickman)
 
 
@@ -73,17 +80,23 @@ def llt_table(kappa: KappaSeq, n_list, table: RhoTable) -> list[AuditRow]:
             for n, p in zip(n_list, _point_probs(kappa, n_list))]
 
 
+def _read(plan) -> list[AuditRow]:
+    """The rows of an audit plan (requests, reader), its laws from a book of its own."""
+    requests, read = plan
+    return read(_law_book(requests))
+
+
 def stimabase_check(m: int, n: int, kappa: KappaSeq) -> AuditRow:
     """Point probability against a window mass, envelope (1+log(n/m))/sqrt(n-m).
 
     lhs = | d P(T_m^n = d) - P(d - n < T_m^n <= d - (m+1)) |  with
     d = kappa_n - kappa_m; only the law on 0..d, all the check reads, is built.
     """
-    return _stimabase_rows([(m, n)], kappa)[0]
+    return _read(_stimabase_plan([(m, n)], kappa))[0]
 
 
-def _stimabase_rows(pairs, kappa, table=None) -> list[AuditRow]:
-    """stimabase_check at every (m, n) pair, all laws built in one DP sweep."""
+def _stimabase_plan(pairs, kappa, table=None):
+    """stimabase_check at every (m, n) pair: its law requests and their reader."""
     cells = []
     for m, n in pairs:
         if not (2 <= m < n):
@@ -92,37 +105,63 @@ def _stimabase_rows(pairs, kappa, table=None) -> list[AuditRow]:
         if kn - km <= 0:
             raise ValueError(f"degenerate target: kappa_n - kappa_m = {kn - km}")
         cells.append((m, n, km, kn, kn - km))
-    laws = _laws([(m, n, d) for m, n, _, _, d in cells])
-    rows = []
-    for (m, n, km, kn, d), probs in zip(cells, laws):
-        lo = max(d - n + 1, 0)  # first value strictly above d - n
-        hi = min(d - (m + 1), len(probs) - 1)
-        window = float(probs[lo : hi + 1].sum()) if hi >= lo else 0.0
-        point = float(probs[d]) if d < len(probs) else 0.0
-        lhs = abs(d * point - window)
-        env = (1.0 + math.log(n / m)) / math.sqrt(n - m)
-        rows.append(AuditRow("stimabase", m, n, kappa.x_float, km, kn, lhs, env))
-    return rows
+
+    def read(book) -> list[AuditRow]:
+        rows = []
+        for m, n, km, kn, d in cells:
+            probs = book[m, n, d]
+            lo = max(d - n + 1, 0)  # first value strictly above d - n
+            hi = min(d - (m + 1), len(probs) - 1)
+            window = float(probs[lo : hi + 1].sum()) if hi >= lo else 0.0
+            point = float(probs[d]) if d < len(probs) else 0.0
+            lhs = abs(d * point - window)
+            env = (1.0 + math.log(n / m)) / math.sqrt(n - m)
+            rows.append(AuditRow("stimabase", m, n, kappa.x_float, km, kn, lhs, env))
+        return rows
+
+    return [(m, n, d) for m, n, _, _, d in cells], read
 
 
 def w1_rows(m: int, n: int, c_const: float = 1.0) -> list[AuditRow]:
     """Characteristic-function distance |phi_{T/(n-m)}(t) - phi(t)| vs f envelope."""
-    env = Envelope(m, n, c_const)
-    ts = np.linspace(-config.W1_T_SPAN, config.W1_T_SPAN, config.W1_T_POINTS)
-    vals = phi_T(m, n, ts / (n - m))
-    rows = []
-    for t, v in zip(ts, vals):
-        lhs = abs(v - phi_dickman(float(t)))
-        rows.append(AuditRow("w1", m, n, float(t), 0, 0, lhs, f_envelope(env, t)))
-    return rows
+    return _read(_w1_plan([(m, n)], c_const=c_const))
+
+
+def _w1_plan(pairs, kappa=None, table=None, c_const: float = 1.0):
+    """w1_rows at every pair, in order; phi_dickman is evaluated once per t."""
+    envs = [Envelope(m, n, c_const) for m, n in pairs]
+
+    def read(book) -> list[AuditRow]:
+        ts = np.linspace(-config.W1_T_SPAN, config.W1_T_SPAN, config.W1_T_POINTS)
+        cf = [phi_dickman(float(t)) for t in ts]
+        rows = []
+        for env in envs:
+            m, n = env.m, env.n
+            vals = phi_T(m, n, ts / (n - m))
+            rows += [AuditRow("w1", m, n, float(t), 0, 0, abs(v - c), f_envelope(env, t))
+                     for t, v, c in zip(ts, vals, cf)]
+        return rows
+
+    return [], read
 
 
 def w2_check(m: int, n: int, table: RhoTable, c_const: float = 1.0) -> AuditRow:
     """Kolmogorov distance of T_m^n/(n-m) to the Dickman CDF vs g envelope."""
-    env = Envelope(m, n, c_const)
-    law = _law(m, n, cap=_kolmogorov_cap(table, m, n))
-    lhs = kolmogorov_distance(Pmf(m, n, law, "float"), table)
-    return AuditRow("w2", m, n, float("nan"), 0, 0, lhs, g_envelope(env))
+    return _read(_w2_plan([(m, n)], None, table, c_const))[0]
+
+
+def _w2_plan(pairs, kappa, table: RhoTable, c_const: float = 1.0):
+    """w2_check at every pair: each law stops at its ``_kolmogorov_cap``."""
+    envs = [Envelope(m, n, c_const) for m, n in pairs]
+    requests = [(e.m, e.n, _kolmogorov_cap(table, e.m, e.n)) for e in envs]
+
+    def read(book) -> list[AuditRow]:
+        return [AuditRow("w2", m, n, float("nan"), 0, 0,
+                         kolmogorov_distance(Pmf(m, n, book[m, n, cap], "float"), table),
+                         g_envelope(env))
+                for env, (m, n, cap) in zip(envs, requests)]
+
+    return requests, read
 
 
 def zs_check(n: int, table: RhoTable, power: float | None = None) -> AuditRow:
@@ -185,6 +224,11 @@ def covariance_audit(kappa: KappaSeq, pairs, c_const: float = 1.0,
     times the chi-assembled aggregate, with the inner g evaluated at
     constant 1).  A pair outside its regime raises ValueError.
     """
+    return _read(_cov_plan(regime, pairs, kappa, c_const))
+
+
+def _cov_plan(regime: str, pairs, kappa: KappaSeq, c_const: float = 1.0):
+    """covariance_audit's law requests and their reader."""
     if regime not in ("diag", "near", "far"):
         raise ValueError(f"unknown regime {regime!r}")
     pairs = list(pairs)
@@ -197,23 +241,27 @@ def covariance_audit(kappa: KappaSeq, pairs, c_const: float = 1.0,
             raise ValueError(f"the near regime needs m < n <= {sigma:.6g} m, got m={m}, n={n}")
         if regime == "far" and m >= n:
             raise ValueError(f"the far regime needs m < n, got m={m}, n={n}")
-    rows = []
-    for (m, n), cov in zip(pairs, _covariances(kappa, pairs)):
-        c = abs(cov)
-        if regime == "diag":
-            env = c_const * m
-        elif regime == "near":
-            env = c_const
-        else:
-            agg = (
-                n / (n - m) * chi(Envelope(m, n, 1.0), kappa, x)
-                + m / (n - m)
-                + chi(Envelope(2, n, 1.0), kappa, x)
-                + 1.0 / n
-            )
-            env = c_const * agg
-        rows.append(AuditRow(f"cov-{regime}", m, n, x, kappa(m), kappa(n), c, env))
-    return rows
+
+    def read(book) -> list[AuditRow]:
+        rows = []
+        for (m, n), cov in zip(pairs, _covariances(kappa, pairs, book)):
+            c = abs(cov)
+            if regime == "diag":
+                env = c_const * m
+            elif regime == "near":
+                env = c_const
+            else:
+                agg = (
+                    n / (n - m) * chi(Envelope(m, n, 1.0), kappa, x)
+                    + m / (n - m)
+                    + chi(Envelope(2, n, 1.0), kappa, x)
+                    + 1.0 / n
+                )
+                env = c_const * agg
+            rows.append(AuditRow(f"cov-{regime}", m, n, x, kappa(m), kappa(n), c, env))
+        return rows
+
+    return _cov_atoms(kappa, pairs), read
 
 
 def gamma_kernel_sup(m: int, n: int, u_points: int = 10001) -> float:
@@ -221,8 +269,26 @@ def gamma_kernel_sup(m: int, n: int, u_points: int = 10001) -> float:
 
     The grid covers [0, pi], which suffices because |gamma(-u)| = |gamma(u)|.
     """
-    sup = float(np.abs(gamma_grid(m, n, u_points)).max())
-    return sup * (n - m) / (1.0 + math.log(n / m))
+    return _read(_gamma_kernel_plan([(m, n)], None, None, u_points))[0].lhs
+
+
+def _gamma_kernel_plan(pairs, kappa, table, u_points: int = 10001):
+    """gamma_kernel_sup at every pair, from one coefficient series per m."""
+    pairs = list(pairs)
+
+    def read(book) -> list[AuditRow]:
+        ns: dict[int, list[int]] = {}
+        for m, n in pairs:
+            ns.setdefault(m, []).append(n)
+        sup = {}
+        for m, n_list in ns.items():
+            for n, grid in zip(n_list, gamma_grids(m, n_list, u_points)):
+                sup[m, n] = float(np.abs(grid).max()) * (n - m) / (1.0 + math.log(n / m))
+        # The sup is already normalised: its envelope is 1.
+        return [AuditRow("gamma_kernel", m, n, float("nan"), 0, 0, sup[m, n], 1.0)
+                for m, n in pairs]
+
+    return [], read
 
 
 # ----------------------------------------------------------- audit registry
@@ -253,42 +319,38 @@ def _solve_w2(rows) -> float:
 class Audit:
     """One calibrated bound, defined once for the calibration and the CLI.
 
-    ``pairs(x)`` is the default (m, n) grid at slope x, ``rows(pairs,
-    kappa, table)`` audits those cells, and ``solve(rows)`` is the smallest
-    constant making the bound hold on them.  Envelope constants sit inside
-    an exp, so they are solved pointwise (the envelopes are increasing in
-    C); purely multiplicative constants are ratio maxima.  The golden
-    constant is the largest solve over ``slopes``.
+    ``pairs(x)`` is the default (m, n) grid at slope x.  ``plan(pairs,
+    kappa, table)`` validates those cells and returns (requests, read):
+    the (m, n, cap) laws its rows need, and the reader of the rows from a
+    book holding them.  ``solve(rows)`` is the smallest constant making
+    the bound hold on them.  Envelope constants sit inside an exp, so they
+    are solved pointwise (the envelopes are increasing in C); purely
+    multiplicative constants are ratio maxima.  The golden constant is the
+    largest solve over ``slopes``.
     """
 
     key: str
     pairs: Callable[[float], list]
-    rows: Callable[..., list]
+    plan: Callable[..., tuple]
     solve: Callable[[list], float]
     slopes: tuple[float, ...] = (1.0,)
 
-
-def _gamma_kernel_rows(pairs, kappa, table) -> list[AuditRow]:
-    # gamma_kernel_sup is already normalised: its envelope is 1.
-    return [AuditRow("gamma_kernel", m, n, float("nan"), 0, 0, gamma_kernel_sup(m, n), 1.0)
-            for m, n in pairs]
+    def rows(self, pairs, kappa: KappaSeq, table: RhoTable | None) -> list[AuditRow]:
+        """The audit of these cells alone, its laws from one sweep of its own."""
+        return _read(self.plan(pairs, kappa, table))
 
 
 def _cov_audit(regime: str, grid) -> Audit:
     return Audit(f"cov_{regime}", grid,
-                 lambda pairs, kappa, table: covariance_audit(kappa, pairs, regime=regime),
+                 lambda pairs, kappa, table: _cov_plan(regime, pairs, kappa),
                  _max_ratio, config.COV_X)
 
 
 AUDITS: dict[str, Audit] = {a.key: a for a in (
-    Audit("stimabase", lambda x: config.stimabase_pairs(), _stimabase_rows, _max_ratio),
-    Audit("w1", lambda x: config.W1_PAIRS,
-          lambda pairs, kappa, table: [r for m, n in pairs for r in w1_rows(m, n)],
-          _solve_w1),
-    Audit("w2", lambda x: config.W2_PAIRS,
-          lambda pairs, kappa, table: [w2_check(m, n, table) for m, n in pairs],
-          _solve_w2),
-    Audit("gamma_kernel", lambda x: config.stimabase_pairs(), _gamma_kernel_rows, _max_ratio),
+    Audit("stimabase", lambda x: config.stimabase_pairs(), _stimabase_plan, _max_ratio),
+    Audit("w1", lambda x: config.W1_PAIRS, _w1_plan, _solve_w1),
+    Audit("w2", lambda x: config.W2_PAIRS, _w2_plan, _solve_w2),
+    Audit("gamma_kernel", lambda x: config.stimabase_pairs(), _gamma_kernel_plan, _max_ratio),
     _cov_audit("diag", lambda x: config.cov_diag_pairs()),
     _cov_audit("near", lambda x: cov_near_pairs(x, config.COV_EPS)),
     _cov_audit("far", lambda x: config.cov_far_pairs()),
@@ -296,12 +358,21 @@ AUDITS: dict[str, Audit] = {a.key: a for a in (
 
 
 def run_calibration(table: RhoTable) -> dict[str, float]:
-    """Smallest constants making every audited bound hold on the grids."""
-    out: dict[str, float] = {}
-    for key, audit in AUDITS.items():
-        out[key] = max(audit.solve(audit.rows(audit.pairs(x), KappaSeq(x), table))
-                       for x in audit.slopes)
-    return out
+    """Smallest constants making every audited bound hold on the grids.
+
+    Plan, then read: every audit plans its grid at each of its slopes, one
+    ``_laws`` sweep builds the book of the union of their requests, and
+    each audit reads its rows from that book.  A law does not depend on
+    the slope, and the grids share their block starts, so one sweep serves
+    every audit; its top falls as the sweep passes the last read of the
+    widest laws (``keep`` in ``_steps``).  Every row is the one its audit
+    computes alone, bit for bit.
+    """
+    plans = {(audit.key, x): audit.plan(audit.pairs(x), KappaSeq(x), table)
+             for audit in AUDITS.values() for x in audit.slopes}
+    book = _law_book(r for requests, _ in plans.values() for r in requests)
+    return {audit.key: max(audit.solve(plans[audit.key, x][1](book)) for x in audit.slopes)
+            for audit in AUDITS.values()}
 
 
 def check_golden(computed: dict[str, float], golden: dict, rel_tol: float = 1e-9) -> list[str]:

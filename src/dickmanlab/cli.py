@@ -9,6 +9,7 @@ from __future__ import annotations
 
 import argparse
 import json
+import os
 import sys
 from dataclasses import astuple, fields
 
@@ -71,19 +72,22 @@ def _table(args):
 
 
 def _golden_gate(args, name: str, constant: float) -> int:
-    """Compare one freshly computed constant against the golden record."""
+    """Compare one freshly computed constant against the golden record.
+
+    The record is ``--golden-file``, or the packaged file when it is unset.
+    """
     if args.golden == "off":
         return EXIT_OK
+    path = args.golden_file
     if args.golden == "regenerate":
         try:
-            stored = config.load_golden()
+            stored = config.load_golden(path)
         except FileNotFoundError:
             stored = {}
         stored[name] = {"constant": float(constant), "grid_hash": config.grid_hash()}
-        config.save_golden(stored)
+        config.save_golden(stored, path)
         return EXIT_OK
-    golden = config.load_golden()
-    problems = audits.check_golden({name: constant}, golden)
+    problems = audits.check_golden({name: constant}, config.load_golden(path))
     for p in problems:
         print(f"golden regression: {p}", file=sys.stderr)
     return EXIT_REGRESSION if problems else EXIT_OK
@@ -116,7 +120,11 @@ def cmd_llt_table(args) -> int:
 
 
 def cmd_audit(args) -> int:
-    """stimabase, w2 and cov-audit: one registry audit's rows and golden gate."""
+    """stimabase, w2 and cov-audit: one registry audit's rows and golden gate.
+
+    The rows come from the audit's plan and one book of its laws, the same
+    path run_calibration takes for every audit at once.
+    """
     name = f"cov_{args.regime}" if args.command == "cov-audit" else args.command
     audit = audits.AUDITS[name]
     x = getattr(args, "x", 1.0)
@@ -200,6 +208,8 @@ def _add_common(p, kappa=False, table=False, golden=False, sim=False):
     if golden:
         p.add_argument("--golden", choices=("off", "check", "regenerate"),
                        default="off")
+        p.add_argument("--golden-file", metavar="PATH",
+                       help="golden file to check or regenerate (default: the packaged one)")
     if sim:
         p.add_argument("--N", type=int, default=10**6)
         p.add_argument("--seed", type=int, default=20260823)
@@ -296,8 +306,11 @@ def build_parser() -> argparse.ArgumentParser:
 def main(argv=None) -> int:
     ap = build_parser()
     args = ap.parse_args(argv)
-    if args.func is cmd_audit and args.m is not None and args.n is None:
-        ap.error("--m requires --n")
+    if args.func is cmd_audit and (args.m is None) != (args.n is None):
+        ap.error("--m requires --n" if args.n is None else "--n requires --m")
+    golden_file = getattr(args, "golden_file", None)
+    if golden_file and args.golden == "check" and not os.path.isfile(golden_file):
+        ap.error(f"--golden-file {golden_file} is not a file")
     try:
         return args.func(args)
     except (ValueError, OverflowError) as exc:

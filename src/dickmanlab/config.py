@@ -10,6 +10,7 @@ from __future__ import annotations
 import hashlib
 import json
 from importlib import resources
+from pathlib import Path
 
 GRID_VERSION = 1
 
@@ -91,14 +92,18 @@ def golden_path():
     return resources.files("dickmanlab") / "golden" / "constants.json"
 
 
-def load_golden() -> dict:
-    path = golden_path()
+def load_golden(path=None) -> dict:
+    """The golden entries at ``path``, by default the packaged file."""
+    path = golden_path() if path is None else Path(path)
     with path.open("r") as fh:
         return json.load(fh)
 
 
-def save_golden(entries: dict) -> None:
-    """Write the entries as given, hashes included; the only mutation path."""
-    with open(str(golden_path()), "w") as fh:
+def save_golden(entries: dict, path=None) -> None:
+    """Write the entries as given, hashes included; the only mutation path.
+
+    ``path`` defaults to the packaged file.
+    """
+    with open(str(golden_path() if path is None else path), "w") as fh:
         json.dump(entries, fh, indent=2, sort_keys=True)
         fh.write("\n")

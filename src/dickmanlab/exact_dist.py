@@ -5,15 +5,20 @@ is built by dynamic-programming convolution over the integer support
 0..S, S = sum of the weights.  One in-place DP kernel, ``_steps``, serves
 every float law.  It advances several blocks T_m^k with different starts
 m side by side, so ``_laws`` answers a batch of (m, n, cap) requests from
-one sweep, each bit for bit the law of a one-block DP; the covariance
-and stimabase audits build all the laws of a grid that way.  ``pmf``
-returns the whole law; the scans and audits cap the support at the
-largest value they read, which is exact because entry v depends only on
-entries <= v.  Readers of a few low atoms (``point_prob_scan``,
-``cov_Y``, the stimabase audit) stop at those atoms, and power sums at a
-Chernoff cap whose dropped tail is below 2^-60 of the sum.  A reader of
-listed rows (``_point_probs``) also lets the top fall as the sweep nears
-them: after step k only entries up to R - k - 1 can still reach a read at
+one sweep, each bit for bit the law of a one-block DP.  Readers plan,
+then read: they state every law they read as a request, ``_law_book``
+builds the book {(m, n, cap): law} of those requests in one sweep, and
+they read their rows from it; the audits' calibration builds one book
+for all its grids.  ``pmf`` returns the whole law; the scans and audits
+cap the support at the largest value they read, which is exact because
+entry v depends only on entries <= v.  Readers of a few low atoms
+(``point_prob_scan``, ``cov_Y``, the stimabase audit) stop at those
+atoms, and power sums at a Chernoff cap whose dropped tail is below
+2^-60 of the sum.  The top of a sweep also falls to ``keep[k]``, the
+largest entry any read after step k needs: for a batch, the largest cap
+still pending, so a wide law read early does not widen the rest of the
+sweep.  A reader of listed rows (``_point_probs``) keeps only up to
+R - k - 1 after step k, as no other entry can still reach a read at
 target R, except the targets themselves, which it carries as float chains
 with the DP's own operations.  ``kolmogorov_distance`` reads up to
 x_max (n - m), or accepts a shorter law when its dropped tail plus the
@@ -109,7 +114,7 @@ class Pmf:
 
 
 def _steps(starts: Sequence[int], n: int, cap: int | None = None,
-           reach: Sequence[int] | None = None):
+           keep: Sequence[int] | None = None):
     """Float DP over k = starts[0]+1 .. n, in place, for sorted block starts.
 
     Yields (k, laws): column i of laws is the law of T_{starts[i]}^k on
@@ -117,16 +122,20 @@ def _steps(starts: Sequence[int], n: int, cap: int | None = None,
     on the columns with starts[i] < k only; the others stay a delta at 0.
     The support top is S_k = sum_{j=starts[0]+1}^k j, or cap if smaller:
     entry v depends only on entries <= v, so truncation leaves every kept
-    entry exact.  With ``reach``, where reach[k] is the largest value read
-    after step k (-1 for none), the top also falls to reach[k] - k - 1 (but
-    not below 0): entry v of u_k reaches u_j(t), j > k, only through
-    entries t - (sum of weights in k+1..j), so an entry above reach[k] - k - 1
-    matters only as some later read's own target t, which its reader
-    carries itself (see ``_point_probs``).  Each column gets the float
-    operations of its one-block DP (past its own support it adds zeros),
-    so it is that law bit for bit.  Laws run down the columns so that,
-    once every column is live, each slice over v is one contiguous block.
-    The yielded view is overwritten by the next step.
+    entry exact.  With ``keep``, nonincreasing, where keep[k] is the largest
+    entry that any read after step k needs, the top also falls to keep[k]
+    (but not below 0).  Once it falls it stays down, so every entry a later
+    step reads was kept at each step before, and stale entries above the
+    top go unread.  ``_laws`` passes the largest cap still pending.
+    ``_point_probs`` passes R - k - 1, R its largest target still pending:
+    entry v of u_k reaches u_j(t), j > k, only through entries
+    t - (sum of weights in k+1..j), so an entry above R - k - 1 matters
+    only as some later read's own target t, which that reader carries.
+    Each column gets the float operations of its one-block DP (past its
+    own support it adds zeros), so it is that law bit for bit.  Laws run
+    down the columns so that, once every column is live, each slice over v
+    is one contiguous block.  The yielded view is overwritten by the next
+    step.
     """
     m = starts[0]
     size = (n * (n + 1) - m * (m + 1)) // 2
@@ -141,8 +150,8 @@ def _steps(starts: Sequence[int], n: int, cap: int | None = None,
             live = laws if started == len(starts) else laws[:, :started]
         p = 1.0 / k
         new_top = min(top + k, size)
-        if reach is not None:  # once it falls it stays down, so stale entries go unread
-            new_top = max(min(new_top, reach[k] - k - 1), 0)
+        if keep is not None:
+            new_top = max(min(new_top, keep[k]), 0)
         moved = live[: max(new_top - k + 1, 0)] * p
         live[: min(top, new_top) + 1] *= 1.0 - p
         live[k : new_top + 1] += moved
@@ -154,9 +163,11 @@ def _steps(starts: Sequence[int], n: int, cap: int | None = None,
 def _laws(requests: Sequence[tuple[int, int, int | None]]) -> list[np.ndarray]:
     """Float laws of T_m^n on 0..min(S, cap), one per (m, n, cap), from one sweep.
 
-    Each is the prefix of the full law, bit for bit.  Laws taken before
-    the last step are copies; at the last step a one-block sweep's law is
-    returned as a view, without a copy.
+    Each is the prefix of the full law, bit for bit.  The sweep keeps after
+    step k only the largest top still to be read at some n >= k (``keep``
+    in ``_steps``), so a wide law read early does not widen the columns
+    read late.  Laws taken before the last step are copies; at the last
+    step a one-block sweep's law is returned as a view, without a copy.
     """
     if not requests:
         return []
@@ -167,14 +178,27 @@ def _laws(requests: Sequence[tuple[int, int, int | None]]) -> list[np.ndarray]:
     tops = [(n * (n + 1) - m * (m + 1)) // 2 for m, n, _ in requests]
     tops = [t if cap is None else min(t, cap) for t, (_, _, cap) in zip(tops, requests)]
     due: dict[int, list[int]] = {}
+    keep = [0] * (n_max + 1)
     for j, (_, n, _) in enumerate(requests):
         due.setdefault(n, []).append(j)
+        keep[n] = max(keep[n], tops[j])
+    keep = list(itertools.accumulate(reversed(keep), max))[::-1]
     out: list = [None] * len(requests)
-    for k, laws in _steps(starts, n_max, cap=max(tops)):
+    for k, laws in _steps(starts, n_max, cap=keep[0], keep=keep):
         for j in due.get(k, ()):
             law = laws[: tops[j] + 1, starts.index(requests[j][0])]
             out[j] = np.ascontiguousarray(law) if k == n_max else law.copy()
     return out
+
+
+def _law_book(requests: Iterable[tuple[int, int, int | None]]) -> dict[tuple, np.ndarray]:
+    """The law of each distinct (m, n, cap) request, keyed by it, from one sweep.
+
+    Readers plan first, stating every law they read as a request, and then
+    read their rows from the book; one book can serve many readers.
+    """
+    keys = list(dict.fromkeys(requests))
+    return dict(zip(keys, _laws(keys)))
 
 
 def _law(m: int, n: int, cap: int | None = None) -> np.ndarray:
@@ -339,9 +363,9 @@ def _point_probs(kappa: KappaSeq, ns: Sequence[int]) -> list[float]:
     """P(T_n = kappa_n) at each n of the sorted distinct ns >= 1, from one sweep.
 
     Each value is point_prob_scan(kappa, n)[n - 1] bit for bit.  The sweep
-    keeps u_k only up to reach[k] - k - 1 (see ``_steps``), where reach[k]
-    is the largest target of a row after step k.  A pending target t above
-    that top is carried as a float chain: from u_k, before the sweep
+    keeps u_k only up to keep[k] = reach[k] - k - 1 (see ``_steps``), where
+    reach[k] is the largest target of a row after step k.  A pending target
+    t above that top is carried as a float chain: from u_k, before the sweep
     overwrites it,  c <- c*(1 - 1/(k+1)) + u_k(t - k - 1)*(1/(k+1)),  the
     DP's own two products and one sum at entry t.  A chain starts from u_k(t)
     (zero past the support) at the last step that still kept t, and u_0 is
@@ -352,11 +376,13 @@ def _point_probs(kappa: KappaSeq, ns: Sequence[int]) -> list[float]:
     n_max = ns[-1]
     reach = np.full(n_max + 1, -1, dtype=np.int64)
     reach[np.asarray(ns) - 1] = targets  # the row read after step n - 1
-    reach = np.maximum.accumulate(reach[::-1])[::-1].tolist()
+    reach = np.maximum.accumulate(reach[::-1])[::-1]
+    keep = (reach - np.arange(1, n_max + 2)).tolist()  # reach[k] - k - 1
+    del reach  # free it: the sweep reads only keep
     out = []
     chains: dict[int, float] = {}  # t -> u_k(t), for targets above the kept top
     lo, hi = 0, len(ns)  # rows[lo:] are pending; rows[hi:] are chained
-    sweep = _steps((0,), n_max, cap=max(targets), reach=reach)
+    sweep = _steps((0,), n_max, cap=max(targets), keep=keep)
     for k, laws in itertools.chain([(0, np.ones((1, 1)))], sweep):
         u = laws[:, 0]
         if ns[lo] == k:
@@ -367,8 +393,7 @@ def _point_probs(kappa: KappaSeq, ns: Sequence[int]) -> list[float]:
                 break
             if targets[lo] != t:
                 chains.pop(t, None)
-        bound = reach[k + 1] - k - 2  # step k + 1 keeps no entry above it
-        while hi > lo and targets[hi - 1] > bound:
+        while hi > lo and targets[hi - 1] > keep[k + 1]:  # step k + 1 drops it
             hi -= 1
             t = targets[hi]
             if t not in chains:
@@ -441,9 +466,13 @@ def cov_Y(x_seq: KappaSeq, m: int, n: int) -> float:
     return _covariances(x_seq, [(m, n)])[0]
 
 
-def _covariances(x_seq: KappaSeq, pairs) -> list[float]:
-    """cov_Y at every (m, n) pair, all atoms read from one DP sweep."""
-    atoms = []  # (m, n, v): the atom P(T_m^n = v), read from the law capped at v
+def _cov_atoms(x_seq: KappaSeq, pairs) -> list[tuple[int, int, int]]:
+    """The atoms (m, n, v) that cov_Y reads at the pairs, after checking them.
+
+    P(T_m^n = v) is read from the law capped at v, so each atom is also
+    the request for its law.
+    """
+    atoms = []
     for m, n in pairs:
         if not (2 <= m <= n):
             raise ValueError(f"need 2 <= m <= n, got m={m}, n={n}")
@@ -451,8 +480,23 @@ def _covariances(x_seq: KappaSeq, pairs) -> list[float]:
         if kn - km < 0:
             raise ValueError(f"kappa_n - kappa_m = {kn - km} < 0 at m={m}, n={n}")
         atoms += [(0, m, km)] if m == n else [(0, m, km), (m, n, kn - km), (0, n, kn)]
-    laws = _laws(atoms)
-    p = iter([float(law[v]) if v < len(law) else 0.0 for law, (_, _, v) in zip(laws, atoms)])
+    return atoms
+
+
+def _covariances(x_seq: KappaSeq, pairs, book: dict | None = None) -> list[float]:
+    """cov_Y at every (m, n) pair, its atoms read from ``book``.
+
+    The book holds at least the laws ``_cov_atoms`` requests; by default it
+    is built here, all from one DP sweep.
+    """
+    atoms = _cov_atoms(x_seq, pairs)
+    if book is None:
+        book = _law_book(atoms)
+    probs = []
+    for m, n, v in atoms:
+        law = book[m, n, v]
+        probs.append(float(law[v]) if v < len(law) else 0.0)
+    p = iter(probs)
     out = []
     for m, n in pairs:
         pm = next(p)

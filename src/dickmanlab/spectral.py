@@ -89,6 +89,14 @@ def gamma_mn(m: int, n: int, u) -> complex | np.ndarray:
 def gamma_grid(m: int, n: int, u_points: int) -> np.ndarray:
     """gamma_mn on the grid u_j = pi j/(P-1), j = 0..P-1, P = u_points, by one FFT.
 
+    The one-n case of ``gamma_grids``.
+    """
+    return next(gamma_grids(m, [n], u_points))
+
+
+def gamma_grids(m: int, ns, u_points: int):
+    """gamma_grid(m, n, u_points) for each n of ns in turn, from one series per m.
+
     With M = 2(P-1), e^{i u_j k} = w^{jk} for the M-th root of unity w.  For
     k >= 3 and |z| = 1 the term is a geometric series in z,
 
@@ -101,21 +109,29 @@ def gamma_grid(m: int, n: int, u_points: int) -> np.ndarray:
     so the truncation moves (n-m) gamma by at most 2^-60 (1 + log(n/m)).
     The phase kq mod M is exact integer arithmetic, unlike u*k rounded
     inside a direct e^{iuk}.
+
+    The rows q of b_{k,q} are built once, for k up to max(ns).  A term's
+    value and its stop do not depend on n, and the k still kept at each q
+    are a prefix, so each n folds its own k-prefix of every row, in the
+    same order as a build for that n alone: its grid is that one bit for
+    bit.  Grids are yielded one at a time, one FFT each.
     """
-    if not (2 <= m < n):
-        raise ValueError(f"need 2 <= m < n, got m={m}, n={n}")
+    ns = list(ns)
+    if not ns or not all(2 <= m < n for n in ns):
+        raise ValueError(f"need 2 <= m < n for every n, got m={m}, ns={ns}")
     if u_points < 2:
         raise ValueError(f"need u_points >= 2, got {u_points}")
     M = 2 * (u_points - 1)
-    ks = np.arange(m + 1, n + 1)
+    ks = np.arange(m + 1, max(ns) + 1)
     a = 1.0 / (ks - 1)
     c = ks * a  # k a^q at q = 1
-    idx, coef = [ks % M], [a]
+    idx, coef, kept = [ks % M], [a], []
     q = 1
     while True:
         # Term q+1 is kept while the tail past q, k a^{q+1}/(1-a), exceeds
         # 2^-60 a; that falls with k, so the k still kept are a prefix.
-        live = np.count_nonzero(c > 2.0**-60 * (1.0 - a))
+        kept.append(c > 2.0**-60 * (1.0 - a))
+        live = np.count_nonzero(kept[-1])
         if not live:
             break
         ks, a = ks[:live], a[:live]
@@ -123,9 +139,16 @@ def gamma_grid(m: int, n: int, u_points: int) -> np.ndarray:
         q += 1
         idx.append(ks * q % M)
         coef.append(c if q % 2 else -c)
-    A = np.bincount(np.concatenate(idx), np.concatenate(coef), minlength=M)
-    # sum_r A_r w^{jr} = conj(rfft(A)[j]) for real A, and rfft returns j = 0..M/2.
-    return np.conj(np.fft.rfft(A)) / (n - m)
+    for n in ns:
+        widths = [n - m]  # row q of n's own build holds its first widths[q - 1] terms
+        for keep in kept:
+            widths.append(np.count_nonzero(keep[: widths[-1]]))
+            if not widths[-1]:
+                break
+        A = np.bincount(np.concatenate([i[:w] for i, w in zip(idx, widths)]),
+                        np.concatenate([c[:w] for c, w in zip(coef, widths)]), minlength=M)
+        # sum_r A_r w^{jr} = conj(rfft(A)[j]) for real A, and rfft returns j = 0..M/2.
+        yield np.conj(np.fft.rfft(A)) / (n - m)
 
 
 def gamma_series(m: int, n: int, t: float, J: int) -> complex:

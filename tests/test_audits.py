@@ -176,3 +176,61 @@ def test_each_audit_grid_is_one_dp_sweep(monkeypatch):
     stimabase = audits.AUDITS["stimabase"]
     rows = stimabase.rows(stimabase.pairs(1.0), KappaSeq(1.0), None)
     assert len(rows) == len(config.stimabase_pairs()) and len(sweeps) == 1
+
+
+def test_calibration_is_one_dp_sweep(monkeypatch, table):
+    # Every audit and slope reads one book of laws: one sweep of 1,000
+    # steps (the largest n), whose top falls after the last read of the
+    # wide w2 laws.  Without that fall the sweep computes 13,115,473 cells.
+    sweeps = []
+    steps = exact_dist._steps
+
+    def counted(*args, **kwargs):
+        sweeps.append([0, 0])
+        for k, laws in steps(*args, **kwargs):
+            sweeps[-1][0] += 1
+            sweeps[-1][1] += laws.size
+            yield k, laws
+
+    monkeypatch.setattr(exact_dist, "_steps", counted)
+    audits.run_calibration(table)
+    assert len(sweeps) == 1 and sweeps[0][0] == 1000
+    assert sweeps[0][1] <= 9_200_000
+
+
+def test_calibration_evaluates_the_dickman_cf_once_per_t(monkeypatch, table):
+    calls = []
+    phi = audits.phi_dickman
+    monkeypatch.setattr(audits, "phi_dickman", lambda t: calls.append(t) or phi(t))
+    audits.run_calibration(table)
+    assert len(calls) == config.W1_T_POINTS == len(set(calls))
+
+
+def test_calibration_constants_are_bit_for_bit_frozen(table):
+    # w1 differs from golden/constants.json by 7.2e-14 relative: the file
+    # predates the fixed Gauss-Legendre Dickman cf.
+    computed = {k: repr(v) for k, v in audits.run_calibration(table).items()}
+    assert computed == {
+        "stimabase": "0.07698619822515206",
+        "w1": "0.43479575603004017",
+        "w2": "0.0",
+        "gamma_kernel": "1.2851166715356424",
+        "cov_diag": "0.6666666666666666",
+        "cov_near": "0.5",
+        "cov_far": "0.050056249336760505",
+    }
+
+
+def test_gamma_kernel_series_per_m_is_the_one_pair_sup():
+    pairs = config.stimabase_pairs()
+    rows = audits.AUDITS["gamma_kernel"].rows(pairs, None, None)
+    assert [r.lhs for r in rows] == [audits.gamma_kernel_sup(m, n) for m, n in pairs]
+
+
+def test_audit_rows_from_a_shared_book_are_their_own_rows(table):
+    # One book for every plan gives each audit the rows it computes alone.
+    plans = [(a, x, a.plan(a.pairs(x), KappaSeq(x), table))
+             for a in audits.AUDITS.values() for x in a.slopes]
+    book = exact_dist._law_book(r for _, _, (requests, _) in plans for r in requests)
+    for a, x, (_, read) in plans:
+        assert repr(read(book)) == repr(a.rows(a.pairs(x), KappaSeq(x), table)), (a.key, x)

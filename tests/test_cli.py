@@ -106,6 +106,29 @@ def test_golden_regenerate_rewrites_only_its_constant(tmp_path, monkeypatch, cap
     assert code == 1  # the stale entry still fails its hash check
 
 
+def test_golden_file_is_where_regenerate_writes_and_check_reads(tmp_path, capsys):
+    packaged = Path(str(config.golden_path())).read_bytes()
+    path = tmp_path / "golden.json"
+    code, _ = run(capsys, "cov-audit", "--regime", "diag", "--golden", "regenerate",
+                  "--golden-file", str(path))
+    assert code == 0
+    assert Path(str(config.golden_path())).read_bytes() == packaged
+    assert json.loads(path.read_text()) == {
+        "cov_diag": {"constant": 2.0 / 3.0, "grid_hash": config.grid_hash()}}
+    code, _ = run(capsys, "cov-audit", "--regime", "diag", "--golden", "check",
+                  "--golden-file", str(path))
+    assert code == 0
+    # The new file holds no cov_far entry, which the packaged file has.
+    code = main(["cov-audit", "--regime", "far", "--golden", "check", "--golden-file", str(path)])
+    assert code == 1
+    assert "cov_far: missing from golden file" in capsys.readouterr().err
+    code, _ = run(capsys, "cov-audit", "--regime", "far", "--golden", "check")
+    assert code == 0
+    with pytest.raises(SystemExit) as exc:  # checked before any DP, with no report
+        main(["w2", "--golden", "check", "--golden-file", str(tmp_path / "none.json")])
+    assert exc.value.code == 2 and capsys.readouterr().out == ""
+
+
 def test_cli_import_loads_no_scipy():
     env = dict(os.environ, PYTHONPATH=str(Path(dickmanlab.__file__).parents[1]))
     probe = "import dickmanlab.cli, sys; print(sorted(m for m in sys.modules if m.split('.')[0] == 'scipy'))"
@@ -121,6 +144,12 @@ def test_usage_errors(capsys):
     with pytest.raises(SystemExit) as exc:
         main(["stimabase", "--m", "3"])
     assert exc.value.code == 2
+    for argv in (["w2", "--n", "50"], ["stimabase", "--n", "50"], ["cov-audit", "--n", "50"]):
+        with pytest.raises(SystemExit) as exc:
+            main(argv)
+        assert exc.value.code == 2, argv  # --n requires --m, not the default grid
+        out, err = capsys.readouterr()
+        assert out == "" and "--n requires --m" in err, argv
     code, _ = run(capsys, "pmf", "--n", "70", "--mode", "exact")
     assert code == 2  # beyond the exact-mode cap
     code, out = run(capsys, "cov-audit", "--regime", "near", "--x", "2.4")

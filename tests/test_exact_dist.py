@@ -407,6 +407,31 @@ def test_batched_laws_are_the_one_block_laws_bit_for_bit(requests):
         assert law.tobytes() == one_block_law(m, n, cap).tobytes(), (m, n, cap)
 
 
+@st.composite
+def shared_requests(draw):
+    """Requests for a shared book: starts with 0, n from a small pool so n repeats."""
+    starts = [0] + draw(st.lists(st.integers(1, 60), max_size=3))
+    ns = draw(st.lists(st.integers(1, 120), min_size=1, max_size=4))
+    requests = []
+    for _ in range(draw(st.integers(1, 10))):
+        m = draw(st.sampled_from(starts))
+        n = max(draw(st.sampled_from(ns)), m + 1)
+        S = (n * (n + 1) - m * (m + 1)) // 2
+        cap = draw(st.one_of(st.none(), st.integers(0, S), st.integers(S + 1, 3 * S)))
+        requests.append((m, n, cap))
+    return requests
+
+
+@given(requests=shared_requests())
+@example(requests=[(0, 10, None), (0, 100, 5), (0, 10, 100), (3, 10, 7), (3, 100, 9000)])
+@example(requests=[(0, 40, 800), (2, 40, 10), (0, 120, 30), (5, 120, 2)])
+@settings(max_examples=80, deadline=None)
+def test_laws_with_a_falling_top_are_each_one_block_law(requests):
+    # The top falls to the largest cap still pending; no law read moves.
+    for (m, n, cap), law in zip(requests, _laws(requests), strict=True):
+        assert law.tobytes() == _law(m, n, cap).tobytes(), (m, n, cap)
+
+
 @pytest.mark.parametrize("m,n", [(0, 1), (0, 12), (3, 20), (10, 60)])
 def test_capped_law_is_the_full_law_prefix(m, n):
     full = pmf(m, n).probs

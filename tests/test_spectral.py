@@ -14,6 +14,7 @@ from dickmanlab.spectral import (
     f_envelope,
     g_envelope,
     gamma_grid,
+    gamma_grids,
     gamma_mn,
     gamma_series,
     invert_cf,
@@ -243,3 +244,12 @@ def test_w1_envelope_audit_with_golden_constant():
         for row in w1_rows(m, n, c_const=c * (1 + 1e-9)):
             if row.x != 0.0:
                 assert row.lhs <= row.envelope + 1e-12
+
+
+def test_gamma_grids_per_m_are_the_one_n_grids():
+    # One series per m serves every n, in any order and with repeats.
+    ns = [40, 7, 200, 40, 3]
+    for n, g in zip(ns, gamma_grids(2, ns, 257), strict=True):
+        assert g.tobytes() == gamma_grid(2, n, 257).tobytes(), n
+    with pytest.raises(ValueError):
+        next(gamma_grids(5, [9, 5], 11))
