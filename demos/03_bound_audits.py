@@ -5,6 +5,7 @@ carry calibrated constants stored in the package golden file.
 """
 from dickmanlab import KappaSeq, build_rho_table
 from dickmanlab import audits, config
+from dickmanlab.exact_dist import power_sum_scan
 
 
 def show(rows):
@@ -18,15 +19,16 @@ def main():
     kappa = KappaSeq(1, mode="exact-multiple")
 
     print("point estimate vs window mass, envelope (1+log(n/m))/sqrt(n-m):")
-    show([audits.stimabase_check(m, n, kappa) for m, n in config.stimabase_pairs()[:6]])
+    show(audits.AUDITS["stimabase"].rows(config.stimabase_pairs()[:6], kappa, None))
     print()
 
     print("Kolmogorov distance vs g envelope:")
-    show([audits.w2_check(m, n, table) for m, n in config.W2_PAIRS])
+    show(audits.AUDITS["w2"].rows(config.W2_PAIRS, kappa, table))
     print()
 
     print("L2 characteristic-function integral vs its limit:")
-    for r in [audits.zs_check(n, table) for n in config.ZS_N_LIST]:
+    powers = power_sum_scan(config.ZS_N_LIST)
+    for r in [audits.zs_check(n, table, powers[n]) for n in config.ZS_N_LIST]:
         print(f"  n={r.n:4d}: {r.lhs:.6f} -> {r.envelope:.6f} (gap {abs(r.lhs - r.envelope):.4f})")
     print()
 

@@ -9,15 +9,17 @@ CLI's golden gate both go through it.
 
 Audits plan, then read.  An audit's plan validates its cells and states
 every DP law its rows read as an (m, n, cap) request; one ``_laws`` sweep
-builds the book {(m, n, cap): law} for the requests, and the plan's reader
-takes its rows from the book.  run_calibration builds one book for every
-audit and slope at once; a one-cell or one-grid function such as
-``stimabase_check`` is the same plan with a book of its own.
+builds the book {(m, n, cap): law}, and the plan's reader takes its rows
+from it.  run_calibration builds one book for every audit and slope at
+once; otherwise ``Audit.rows`` builds a book of its own, and each one-cell
+function (``stimabase_check``, ``w1_rows``, ``w2_check``,
+``covariance_audit``, ``gamma_kernel_sup``) is its entry's rows on one cell.
 """
 from __future__ import annotations
 
+import functools
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, replace
 from typing import Callable
 
 import numpy as np
@@ -30,11 +32,10 @@ from .exact_dist import (
     _cov_atoms,
     _covariances,
     _kolmogorov_cap,
-    _law_book,
+    _laws,
     _point_probs,
     kolmogorov_distance,
     pmf,  # unused here; perfbench's tracer test reads it as audits.pmf
-    power_sum_scan,
 )
 from .spectral import (Envelope, chi, f_envelope, g_envelope, gamma_grids, l2_cf_limit,
                        l2_cf_parseval, phi_T, phi_dickman)
@@ -80,22 +81,16 @@ def llt_table(kappa: KappaSeq, n_list, table: RhoTable) -> list[AuditRow]:
             for n, p in zip(n_list, _point_probs(kappa, n_list))]
 
 
-def _read(plan) -> list[AuditRow]:
-    """The rows of an audit plan (requests, reader), its laws from a book of its own."""
-    requests, read = plan
-    return read(_law_book(requests))
-
-
 def stimabase_check(m: int, n: int, kappa: KappaSeq) -> AuditRow:
     """Point probability against a window mass, envelope (1+log(n/m))/sqrt(n-m).
 
     lhs = | d P(T_m^n = d) - P(d - n < T_m^n <= d - (m+1)) |  with
     d = kappa_n - kappa_m; only the law on 0..d, all the check reads, is built.
     """
-    return _read(_stimabase_plan([(m, n)], kappa))[0]
+    return AUDITS["stimabase"].rows([(m, n)], kappa, None)[0]
 
 
-def _stimabase_plan(pairs, kappa, table=None):
+def _stimabase_plan(pairs, kappa, table):
     """stimabase_check at every (m, n) pair: its law requests and their reader."""
     cells = []
     for m, n in pairs:
@@ -122,14 +117,14 @@ def _stimabase_plan(pairs, kappa, table=None):
     return [(m, n, d) for m, n, _, _, d in cells], read
 
 
-def w1_rows(m: int, n: int, c_const: float = 1.0) -> list[AuditRow]:
+def w1_rows(m: int, n: int) -> list[AuditRow]:
     """Characteristic-function distance |phi_{T/(n-m)}(t) - phi(t)| vs f envelope."""
-    return _read(_w1_plan([(m, n)], c_const=c_const))
+    return AUDITS["w1"].rows([(m, n)], None, None)
 
 
-def _w1_plan(pairs, kappa=None, table=None, c_const: float = 1.0):
+def _w1_plan(pairs, kappa, table):
     """w1_rows at every pair, in order; phi_dickman is evaluated once per t."""
-    envs = [Envelope(m, n, c_const) for m, n in pairs]
+    envs = [Envelope(m, n) for m, n in pairs]
 
     def read(book) -> list[AuditRow]:
         ts = np.linspace(-config.W1_T_SPAN, config.W1_T_SPAN, config.W1_T_POINTS)
@@ -145,14 +140,14 @@ def _w1_plan(pairs, kappa=None, table=None, c_const: float = 1.0):
     return [], read
 
 
-def w2_check(m: int, n: int, table: RhoTable, c_const: float = 1.0) -> AuditRow:
+def w2_check(m: int, n: int, table: RhoTable) -> AuditRow:
     """Kolmogorov distance of T_m^n/(n-m) to the Dickman CDF vs g envelope."""
-    return _read(_w2_plan([(m, n)], None, table, c_const))[0]
+    return AUDITS["w2"].rows([(m, n)], None, table)[0]
 
 
-def _w2_plan(pairs, kappa, table: RhoTable, c_const: float = 1.0):
+def _w2_plan(pairs, kappa, table: RhoTable):
     """w2_check at every pair: each law stops at its ``_kolmogorov_cap``."""
-    envs = [Envelope(m, n, c_const) for m, n in pairs]
+    envs = [Envelope(m, n) for m, n in pairs]
     requests = [(e.m, e.n, _kolmogorov_cap(table, e.m, e.n)) for e in envs]
 
     def read(book) -> list[AuditRow]:
@@ -164,10 +159,8 @@ def _w2_plan(pairs, kappa, table: RhoTable, c_const: float = 1.0):
     return requests, read
 
 
-def zs_check(n: int, table: RhoTable, power: float | None = None) -> AuditRow:
-    """L2 characteristic-function integral 2 pi n sum P^2 against its limit."""
-    if power is None:
-        power = power_sum_scan([n])[n]
+def zs_check(n: int, table: RhoTable, power: float) -> AuditRow:
+    """L2 characteristic-function integral 2 pi n sum P^2 against its limit; power = sum P^2."""
     return AuditRow("zs", 0, n, float("nan"), 0, 0, l2_cf_parseval(n, power),
                     l2_cf_limit(table))
 
@@ -215,8 +208,7 @@ def cov_near_pairs(x: float, eps: float) -> list[tuple[int, int]]:
     return pairs
 
 
-def covariance_audit(kappa: KappaSeq, pairs, c_const: float = 1.0,
-                     regime: str = "far") -> list[AuditRow]:
+def covariance_audit(kappa: KappaSeq, pairs, regime: str = "far") -> list[AuditRow]:
     """Exact |Cov(Y_m, Y_n)| against the regime-appropriate bound.
 
     Regimes: "diag" (m = n, envelope C*m), "near" (m < n <= sigma m with
@@ -224,13 +216,13 @@ def covariance_audit(kappa: KappaSeq, pairs, c_const: float = 1.0,
     times the chi-assembled aggregate, with the inner g evaluated at
     constant 1).  A pair outside its regime raises ValueError.
     """
-    return _read(_cov_plan(regime, pairs, kappa, c_const))
-
-
-def _cov_plan(regime: str, pairs, kappa: KappaSeq, c_const: float = 1.0):
-    """covariance_audit's law requests and their reader."""
     if regime not in ("diag", "near", "far"):
         raise ValueError(f"unknown regime {regime!r}")
+    return AUDITS[f"cov_{regime}"].rows(pairs, kappa, None)
+
+
+def _cov_plan(regime: str, pairs, kappa: KappaSeq, table):
+    """covariance_audit's law requests and their reader."""
     pairs = list(pairs)
     x = kappa.x_float
     sigma = sigma_band(x, config.COV_EPS) if regime == "near" else None
@@ -247,17 +239,16 @@ def _cov_plan(regime: str, pairs, kappa: KappaSeq, c_const: float = 1.0):
         for (m, n), cov in zip(pairs, _covariances(kappa, pairs, book)):
             c = abs(cov)
             if regime == "diag":
-                env = c_const * m
+                env = float(m)
             elif regime == "near":
-                env = c_const
+                env = 1.0
             else:
-                agg = (
-                    n / (n - m) * chi(Envelope(m, n, 1.0), kappa, x)
+                env = (
+                    n / (n - m) * chi(Envelope(m, n), kappa, x)
                     + m / (n - m)
-                    + chi(Envelope(2, n, 1.0), kappa, x)
+                    + chi(Envelope(2, n), kappa, x)
                     + 1.0 / n
                 )
-                env = c_const * agg
             rows.append(AuditRow(f"cov-{regime}", m, n, x, kappa(m), kappa(n), c, env))
         return rows
 
@@ -269,7 +260,9 @@ def gamma_kernel_sup(m: int, n: int, u_points: int = 10001) -> float:
 
     The grid covers [0, pi], which suffices because |gamma(-u)| = |gamma(u)|.
     """
-    return _read(_gamma_kernel_plan([(m, n)], None, None, u_points))[0].lhs
+    audit = replace(AUDITS["gamma_kernel"],
+                    plan=functools.partial(_gamma_kernel_plan, u_points=u_points))
+    return audit.rows([(m, n)], None, None)[0].lhs
 
 
 def _gamma_kernel_plan(pairs, kappa, table, u_points: int = 10001):
@@ -337,12 +330,12 @@ class Audit:
 
     def rows(self, pairs, kappa: KappaSeq, table: RhoTable | None) -> list[AuditRow]:
         """The audit of these cells alone, its laws from one sweep of its own."""
-        return _read(self.plan(pairs, kappa, table))
+        requests, read = self.plan(pairs, kappa, table)
+        return read(_laws(requests))
 
 
 def _cov_audit(regime: str, grid) -> Audit:
-    return Audit(f"cov_{regime}", grid,
-                 lambda pairs, kappa, table: _cov_plan(regime, pairs, kappa),
+    return Audit(f"cov_{regime}", grid, functools.partial(_cov_plan, regime),
                  _max_ratio, config.COV_X)
 
 
@@ -370,15 +363,16 @@ def run_calibration(table: RhoTable) -> dict[str, float]:
     """
     plans = {(audit.key, x): audit.plan(audit.pairs(x), KappaSeq(x), table)
              for audit in AUDITS.values() for x in audit.slopes}
-    book = _law_book(r for requests, _ in plans.values() for r in requests)
+    book = _laws(r for requests, _ in plans.values() for r in requests)
     return {audit.key: max(audit.solve(plans[audit.key, x][1](book)) for x in audit.slopes)
             for audit in AUDITS.values()}
 
 
-def check_golden(computed: dict[str, float], golden: dict, rel_tol: float = 1e-9) -> list[str]:
+def check_golden(computed: dict[str, float], golden: dict) -> list[str]:
     """Regressions of computed constants against the golden record.
 
-    Returns human-readable problem strings; empty means clean.
+    A constant regresses past stored * (1 + 1e-9) + 1e-15.  Returns
+    human-readable problem strings; empty means clean.
     """
     problems = []
     want_hash = config.grid_hash()
@@ -391,6 +385,6 @@ def check_golden(computed: dict[str, float], golden: dict, rel_tol: float = 1e-9
             problems.append(f"{name}: grid hash mismatch (grids changed?)")
             continue
         stored = entry["constant"]
-        if value > stored * (1.0 + rel_tol) + 1e-15:
+        if value > stored * (1.0 + 1e-9) + 1e-15:
             problems.append(f"{name}: constant grew {stored:.6g} -> {value:.6g}")
     return problems

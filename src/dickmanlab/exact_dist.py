@@ -4,28 +4,28 @@ Z_k are independent indicators with P(Z_k = 1) = 1/k.  The distribution
 is built by dynamic-programming convolution over the integer support
 0..S, S = sum of the weights.  One in-place DP kernel, ``_steps``, serves
 every float law.  It advances several blocks T_m^k with different starts
-m side by side, so ``_laws`` answers a batch of (m, n, cap) requests from
-one sweep, each bit for bit the law of a one-block DP.  Readers plan,
-then read: they state every law they read as a request, ``_law_book``
-builds the book {(m, n, cap): law} of those requests in one sweep, and
-they read their rows from it; the audits' calibration builds one book
-for all its grids.  ``pmf`` returns the whole law; the scans and audits
-cap the support at the largest value they read, which is exact because
-entry v depends only on entries <= v.  Readers of a few low atoms
-(``point_prob_scan``, ``cov_Y``, the stimabase audit) stop at those
-atoms, and power sums at a Chernoff cap whose dropped tail is below
-2^-60 of the sum.  The top of a sweep also falls to ``keep[k]``, the
-largest entry any read after step k needs: for a batch, the largest cap
-still pending, so a wide law read early does not widen the rest of the
-sweep.  A reader of listed rows (``_point_probs``) keeps only up to
-R - k - 1 after step k, as no other entry can still reach a read at
-target R, except the targets themselves, which it carries as float chains
-with the DP's own operations.  ``kolmogorov_distance`` reads up to
-x_max (n - m), or accepts a shorter law when its dropped tail plus the
-Dickman tail is certified below the distance found; the w2 audit builds
-its law only to such a cap, 4 to 5.4 (n - m) on its pairs.
-Default arithmetic is double precision; an exact-rational mode (capped at
-n <= 64) exists purely as an oracle.
+m side by side, so ``_laws``, the one batched law API, answers any
+iterable of (m, n, cap) requests from one sweep with the book
+{(m, n, cap): law}, each law bit for bit that of a one-block DP.
+Readers plan, then read: they state every law they read as a request
+and read their rows from the book (``pmf``, ``power_sum_scan``, the
+audits), and the calibration builds one book for all its grids.
+``pmf`` returns the whole law; the scans and audits cap the support at
+the largest value they read, which is exact because entry v depends only
+on entries <= v.  Readers of a few low atoms (``point_prob_scan``,
+``cov_Y``, the stimabase audit) stop at those atoms, and power sums at a
+Chernoff cap whose dropped tail is below 2^-60 of the sum.  The top of
+a sweep also falls to ``keep[k]``, the largest entry any read after step
+k needs: for a batch, the largest cap still pending, so a wide law read
+early does not widen the rest of the sweep.  A reader of listed rows
+(``_point_probs``) keeps only up to R - k - 1 after step k, as no other
+entry can still reach a read at target R, except the targets themselves,
+which it carries as float chains with the DP's own operations.
+``kolmogorov_distance`` reads up to x_max (n - m), or accepts a shorter
+law when its dropped tail plus the Dickman tail is certified below the
+distance found; the w2 audit builds its law only to such a cap, 4 to 5.4
+(n - m) on its pairs.  Default arithmetic is double precision; an
+exact-rational mode (capped at n <= 64) exists purely as an oracle.
 """
 from __future__ import annotations
 
@@ -99,8 +99,8 @@ class KappaSeq:
 class Pmf:
     """Probability mass function of T_m^n on its full support 0..S.
 
-    kolmogorov_distance alone also accepts a float prefix of the law
-    (``_law(m, n, cap)``), such as one capped at ``_kolmogorov_cap``.
+    kolmogorov_distance alone also accepts a float prefix of the law (a
+    ``_laws`` book entry), such as one capped at ``_kolmogorov_cap``.
     """
 
     m: int
@@ -160,19 +160,20 @@ def _steps(starts: Sequence[int], n: int, cap: int | None = None,
         yield k, laws[: top + 1]
 
 
-def _laws(requests: Sequence[tuple[int, int, int | None]]) -> list[np.ndarray]:
-    """Float laws of T_m^n on 0..min(S, cap), one per (m, n, cap), from one sweep.
+def _laws(requests: Iterable[tuple[int, int, int | None]]) -> dict[tuple, np.ndarray]:
+    """The book {(m, n, cap): law of T_m^n on 0..min(S, cap)} of distinct requests.
 
-    Each is the prefix of the full law, bit for bit.  The sweep keeps after
-    step k only the largest top still to be read at some n >= k (``keep``
-    in ``_steps``), so a wide law read early does not widen the columns
-    read late.  Laws taken before the last step are copies; at the last
-    step a one-block sweep's law is returned as a view, without a copy.
+    One sweep builds it, each law the prefix of the full law bit for bit.
+    The sweep keeps after step k only the largest top still to be read at
+    some n >= k (``keep`` in ``_steps``), so a wide law read early does not
+    widen the columns read late.  Laws taken before the last step are
+    copies; at the last step a one-block sweep's law is a view, not a copy.
     """
+    requests = list(dict.fromkeys(requests))
     if not requests:
-        return []
+        return {}
     if not all(0 <= m < n for m, n, _ in requests):
-        raise ValueError(f"need 0 <= m < n in every request, got {list(requests)}")
+        raise ValueError(f"need 0 <= m < n in every request, got {requests}")
     starts = sorted({m for m, _, _ in requests})
     n_max = max(n for _, n, _ in requests)
     tops = [(n * (n + 1) - m * (m + 1)) // 2 for m, n, _ in requests]
@@ -183,27 +184,12 @@ def _laws(requests: Sequence[tuple[int, int, int | None]]) -> list[np.ndarray]:
         due.setdefault(n, []).append(j)
         keep[n] = max(keep[n], tops[j])
     keep = list(itertools.accumulate(reversed(keep), max))[::-1]
-    out: list = [None] * len(requests)
+    book = {}
     for k, laws in _steps(starts, n_max, cap=keep[0], keep=keep):
         for j in due.get(k, ()):
             law = laws[: tops[j] + 1, starts.index(requests[j][0])]
-            out[j] = np.ascontiguousarray(law) if k == n_max else law.copy()
-    return out
-
-
-def _law_book(requests: Iterable[tuple[int, int, int | None]]) -> dict[tuple, np.ndarray]:
-    """The law of each distinct (m, n, cap) request, keyed by it, from one sweep.
-
-    Readers plan first, stating every law they read as a request, and then
-    read their rows from the book; one book can serve many readers.
-    """
-    keys = list(dict.fromkeys(requests))
-    return dict(zip(keys, _laws(keys)))
-
-
-def _law(m: int, n: int, cap: int | None = None) -> np.ndarray:
-    """Float law of T_m^n on 0..min(S, cap); the prefix of the full law, bit for bit."""
-    return _laws([(m, n, cap)])[0]
+            book[requests[j]] = np.ascontiguousarray(law) if k == n_max else law.copy()
+    return book
 
 
 def pmf(m: int, n: int, mode: str = "float") -> Pmf:
@@ -211,7 +197,7 @@ def pmf(m: int, n: int, mode: str = "float") -> Pmf:
     if not (0 <= m < n):
         raise ValueError(f"need 0 <= m < n, got m={m}, n={n}")
     if mode == "float":
-        return Pmf(m=m, n=n, probs=_law(m, n), mode="float")
+        return Pmf(m=m, n=n, probs=_laws([(m, n, None)])[m, n, None], mode="float")
     if mode == "exact":
         if n > EXACT_MODE_CAP:
             raise ValueError(f"exact mode capped at n <= {EXACT_MODE_CAP}, got n={n}")
@@ -436,23 +422,18 @@ def power_sum_scan(n_list: Sequence[int]) -> dict[int, float]:
     The dropped part is at most P(T_n > cap)^2 <= 2^-60/n^2, and the sum
     is at least P(T_n = 1)^2 = 1/n^2, so the cap moves the sum by at most
     2^-60 of itself.  cap(n) is about 11n, so the scan is O(n_max cap).
-    One DP capped at the largest cap serves every n, and its prefix up to
-    cap(n) is exact, so each value depends on n alone.  The last bit can
-    depend on the BLAS thread count: a threaded dot over a long vector
-    sums in another order.
+    One book of the laws capped at cap(n) serves every n from one sweep,
+    and each law is the exact prefix, so each value depends on n alone.
+    The last bit can depend on the BLAS thread count: a threaded dot over a
+    long vector sums in another order.
     """
     n_list = sorted(set(int(n) for n in n_list))
     if not n_list:
         raise ValueError("need at least one n")
     if n_list[0] < 1:
         raise ValueError("all n must be >= 1")
-    caps = {n: _power_sum_cap(n) for n in n_list}
-    out = {}
-    for k, laws in _steps((0,), n_list[-1], cap=max(caps.values())):
-        if k in caps:
-            head = laws[: caps[k] + 1, 0]
-            out[k] = float(np.dot(head, head))
-    return out
+    book = _laws((0, n, _power_sum_cap(n)) for n in n_list)
+    return {n: float(np.dot(law, law)) for (_, n, _), law in book.items()}
 
 
 def cov_Y(x_seq: KappaSeq, m: int, n: int) -> float:
@@ -491,7 +472,7 @@ def _covariances(x_seq: KappaSeq, pairs, book: dict | None = None) -> list[float
     """
     atoms = _cov_atoms(x_seq, pairs)
     if book is None:
-        book = _law_book(atoms)
+        book = _laws(atoms)
     probs = []
     for m, n, v in atoms:
         law = book[m, n, v]

@@ -117,13 +117,14 @@ def dispersion_diagnostic(x: float, N_list, seeds) -> list[tuple[int, float]]:
             for m, N in enumerate(N_list)]
 
 
-def hybrid_oracle_mean(N: int, n_cut: int = 2000) -> float:
+def hybrid_oracle_mean(N: int) -> float:
     """Reference value for the x = 1 log-average at horizon N.
 
-    Exact DP point probabilities up to n_cut, then the limiting
+    Exact DP point probabilities up to n_cut = 2000, then the limiting
     exp(-gamma)/n tail, summed and normalized by log N.  The tail uses
     the digamma closed form for the harmonic increment.
     """
+    n_cut = 2000
     if N <= n_cut:
         raise ValueError(f"need N > n_cut={n_cut}, got N={N}")
     kappa = KappaSeq(1, mode="exact-multiple")

@@ -58,9 +58,10 @@ def test_w2_rows(table):
 
 
 def test_zs_rows(table):
-    r = audits.zs_check(2, table)
+    powers = exact_dist.power_sum_scan([2, *config.ZS_N_LIST])
+    r = audits.zs_check(2, table, powers[2])
     assert r.lhs == pytest.approx(2 * math.pi, abs=1e-12)
-    rows = [audits.zs_check(n, table) for n in config.ZS_N_LIST]
+    rows = [audits.zs_check(n, table, powers[n]) for n in config.ZS_N_LIST]
     gaps = [abs(r.lhs - r.envelope) for r in rows]
     assert all(a > b for a, b in zip(gaps, gaps[1:]))
 
@@ -227,10 +228,44 @@ def test_gamma_kernel_series_per_m_is_the_one_pair_sup():
     assert [r.lhs for r in rows] == [audits.gamma_kernel_sup(m, n) for m, n in pairs]
 
 
+# Each one-cell function by registry key: (its result at (m, n), that
+# result read from the registry rows of the one cell).
+ONE_CELL = {
+    "stimabase": (lambda m, n, kappa, table: audits.stimabase_check(m, n, kappa),
+                  lambda rows: rows[0]),
+    "w1": (lambda m, n, kappa, table: audits.w1_rows(m, n), lambda rows: rows),
+    "w2": (lambda m, n, kappa, table: audits.w2_check(m, n, table), lambda rows: rows[0]),
+    "gamma_kernel": (lambda m, n, kappa, table: audits.gamma_kernel_sup(m, n),
+                     lambda rows: rows[0].lhs),
+    **{f"cov_{regime}": (lambda m, n, kappa, table, regime=regime:
+                         audits.covariance_audit(kappa, [(m, n)], regime=regime),
+                         lambda rows: rows)
+       for regime in ("diag", "near", "far")},
+}
+
+
+@pytest.mark.parametrize("key", sorted(ONE_CELL))
+def test_one_cell_function_is_its_registry_entry_on_one_cell(key, table):
+    audit = audits.AUDITS[key]
+    one_cell, pick = ONE_CELL[key]
+    for x in audit.slopes:
+        kappa, grid = KappaSeq(x), audit.pairs(x)
+        for m, n in (grid[0], grid[-1]):
+            want = pick(audit.rows([(m, n)], kappa, table))
+            assert repr(one_cell(m, n, kappa, table)) == repr(want), (x, m, n)
+
+
+def test_law_book_has_one_entry_per_distinct_request():
+    requests = [(0, 5, None), (2, 9, 4), (0, 5, None), (2, 9, 4), (2, 9, None)]
+    book = exact_dist._laws(iter(requests))
+    assert len(book) == 3 and set(book) == set(requests)
+    assert exact_dist._laws([]) == {} and exact_dist._laws(iter(())) == {}
+
+
 def test_audit_rows_from_a_shared_book_are_their_own_rows(table):
     # One book for every plan gives each audit the rows it computes alone.
     plans = [(a, x, a.plan(a.pairs(x), KappaSeq(x), table))
              for a in audits.AUDITS.values() for x in a.slopes]
-    book = exact_dist._law_book(r for _, _, (requests, _) in plans for r in requests)
+    book = exact_dist._laws(r for _, _, (requests, _) in plans for r in requests)
     for a, x, (_, read) in plans:
         assert repr(read(book)) == repr(a.rows(a.pairs(x), KappaSeq(x), table)), (a.key, x)

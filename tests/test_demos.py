@@ -2,6 +2,7 @@
 import hashlib
 import json
 import os
+import runpy
 import subprocess
 import sys
 from pathlib import Path
@@ -9,6 +10,7 @@ from pathlib import Path
 import pytest
 
 import dickmanlab
+from dickmanlab import exact_dist
 
 ROOT = Path(__file__).resolve().parents[1]
 DIGESTS = json.loads((Path(__file__).with_name("demo_digests.json")).read_text())
@@ -22,3 +24,18 @@ def test_demo_stdout_is_byte_identical(name):
     assert proc.returncode == 0, proc.stderr.decode()
     assert proc.stderr == b""
     assert hashlib.sha256(proc.stdout).hexdigest() == DIGESTS[name]
+
+
+def test_demo_03_reads_each_grid_from_one_sweep(monkeypatch, capsys):
+    # stimabase, w2, zs, cov diag and cov far: one DP sweep each
+    sweeps = []
+    steps = exact_dist._steps
+
+    def counted(*args, **kwargs):
+        sweeps.append(args)
+        return steps(*args, **kwargs)
+
+    monkeypatch.setattr(exact_dist, "_steps", counted)
+    runpy.run_path(str(ROOT / "demos" / "03_bound_audits.py"))["main"]()
+    assert capsys.readouterr().out
+    assert len(sweeps) <= 5
