@@ -2,8 +2,10 @@
 
 Reports are CSV (17 significant digits, header row) or JSON carrying the
 full config for provenance.  Exit codes: 0 success, 1 audit regression
-or failed audit, 2 usage error.  Reports contain no timestamps, so a
-fixed config yields byte-identical output.
+or failed audit, 2 usage error, an unwritable file or a law too large
+for memory, each reported as one ``error:`` line with nothing on stdout.
+Reports contain no timestamps, so a fixed config yields byte-identical
+output.
 """
 from __future__ import annotations
 
@@ -134,8 +136,9 @@ def cmd_audit(args) -> int:
     rows = audit.rows(pairs, kappa, table)
     if not rows:
         raise ValueError(f"no {name} grid cells at x={x}")
+    code = _golden_gate(args, name, audit.solve(rows))  # an unwritable record prints nothing
     _emit(args, [f.name for f in fields(audits.AuditRow)], [astuple(r) for r in rows])
-    return _golden_gate(args, name, audit.solve(rows))
+    return code
 
 
 def cmd_zs(args) -> int:
@@ -313,7 +316,7 @@ def main(argv=None) -> int:
         ap.error(f"--golden-file {golden_file} is not a file")
     try:
         return args.func(args)
-    except (ValueError, OverflowError) as exc:
+    except (ValueError, OverflowError, OSError, MemoryError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_USAGE
 

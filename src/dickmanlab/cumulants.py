@@ -11,7 +11,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 from fractions import Fraction
 from functools import lru_cache
-from math import comb
+from math import comb, factorial
 
 
 def a_coeff(k: int, n: int) -> int:
@@ -93,22 +93,28 @@ def _cumulant_cached(j: int) -> CumulantPoly:
     return cumulant_explicit(j) if j >= 2 else CumulantPoly(n=1, coeffs=(0, 1))
 
 
+def _sum_of_powers(e: int, m: int, n: int) -> int:
+    """sum_{k=m+1}^n k^e, exact, from k^e = sum_i S(e, i) i! C(k, i).
+
+    Summing C(k, i) over k = 0..n gives C(n+1, i+1), so the cost is O(e)
+    integer operations whatever the length of the range.
+    """
+    return sum(stirling2(e, i) * factorial(i) * (comb(n + 1, i + 1) - comb(m + 1, i + 1))
+               for i in range(e + 1))
+
+
 def alpha_j(m: int, n: int, j: int) -> float:
     """Series coefficient sum_{k=m+1}^n k^{j-1} (k c_j(1/k) - 1) / (n - m).
 
     Each term is the integer sum_i c_{j,i} k^{j-i} - k^{j-1} (c_j has
-    degree j), so the numerator is an exact integer and the one division
-    by n - m is correctly rounded.
+    degree j), so the numerator is the exact integer
+    sum_i c_{j,i} P_{j-i} - P_{j-1}, P_e the sum of k^e over the block,
+    and the one division by n - m is correctly rounded.
     """
     if j < 1:
         raise ValueError(f"need j >= 1, got {j}")
     if not (2 <= m < n):
         raise ValueError(f"need 2 <= m < n, got m={m}, n={n}")
     coeffs = _cumulant_cached(j).coeffs
-    total = 0
-    for k in range(m + 1, n + 1):
-        acc = 0
-        for c in coeffs:  # Horner for sum_i c_i k^(j-i)
-            acc = acc * k + c
-        total += acc - k ** (j - 1)
-    return float(Fraction(total, n - m))
+    total = sum(c * _sum_of_powers(j - i, m, n) for i, c in enumerate(coeffs))
+    return float(Fraction(total - _sum_of_powers(j - 1, m, n), n - m))

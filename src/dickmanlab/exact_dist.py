@@ -21,6 +21,9 @@ early does not widen the rest of the sweep.  A reader of listed rows
 (``_point_probs``) keeps only up to R - k - 1 after step k, as no other
 entry can still reach a read at target R, except the targets themselves,
 which it carries as float chains with the DP's own operations.
+Each step also skips the exactly-zero tail of its laws: entries above
+nz + k, nz the highest entry that can be nonzero, come out 0*q + 0*p = 0
+exactly, and past n of about 177 the top entry 1/n! underflows to 0.0.
 ``kolmogorov_distance`` reads up to x_max (n - m), or accepts a shorter
 law when its dropped tail plus the Dickman tail is certified below the
 distance found; the w2 audit builds its law only to such a cap, 4 to 5.4
@@ -131,10 +134,17 @@ def _steps(starts: Sequence[int], n: int, cap: int | None = None,
     entry v of u_k reaches u_j(t), j > k, only through entries
     t - (sum of weights in k+1..j), so an entry above R - k - 1 matters
     only as some later read's own target t, which that reader carries.
-    Each column gets the float operations of its one-block DP (past its
-    own support it adds zeros), so it is that law bit for bit.  Laws run
-    down the columns so that, once every column is live, each slice over v
-    is one contiguous block.  The yielded view is overwritten by the next
+    Zero tail: every entry above nz is exactly 0.0, so a step scales and
+    adds only up to hi = min(nz + k, top); each entry above it would be
+    0*(1 - p) + 0*p = 0 exactly, the value it already holds.  While hi =
+    nz + k grows with the support, a step whose entry hi came out 0.0
+    (the top 1/k! of T_0^k does from k = 178 on) lowers nz to the last
+    nonzero entry it wrote; only then is a row checked, so capped sweeps
+    pay nothing.  Subnormal entries stay as they are.  Each column gets the float
+    operations of its one-block DP on its nonzero entries (past its own
+    support it adds zeros), so it is that law bit for bit.  Laws run down
+    the columns so that, once every column is live, each slice over v is
+    one contiguous block.  The yielded view is overwritten by the next
     step.
     """
     m = starts[0]
@@ -143,20 +153,37 @@ def _steps(starts: Sequence[int], n: int, cap: int | None = None,
         size = min(size, cap)
     laws = np.zeros((size + 1, len(starts)))
     laws[0] = 1.0
-    top = started = 0
-    for k in range(m + 1, n + 1):
-        while started < len(starts) and starts[started] < k:  # its first weight is k
-            started += 1
-            live = laws if started == len(starts) else laws[:, :started]
+    # top_k = min(top_{k-1} + k, c_k), c_k = min(size, max(keep[k], 0)),
+    # is min(S_k, c_k) since c_k is nonincreasing.
+    tops = np.arange(m + 1, n + 1).cumsum()
+    np.minimum(tops, size, out=tops)
+    if keep is not None:
+        np.minimum(tops, np.maximum(keep[m + 1 : n + 1], 0), out=tops)
+    goes_live = {s + 1: laws[:, : i + 1] for i, s in enumerate(starts)}  # first weight s + 1
+    live = None
+    nz = 0  # every entry above nz is 0.0
+    for k, top in zip(range(m + 1, n + 1), tops.tolist()):
+        live = goes_live.get(k, live)
         p = 1.0 / k
-        new_top = min(top + k, size)
-        if keep is not None:
-            new_top = max(min(new_top, keep[k]), 0)
-        moved = live[: max(new_top - k + 1, 0)] * p
-        live[: min(top, new_top) + 1] *= 1.0 - p
-        live[k : new_top + 1] += moved
-        del moved  # free it before the next step allocates its own
-        top = new_top
+        hi = nz + k  # the highest entry that can come out nonzero
+        grows = hi <= top
+        if not grows:
+            hi = top
+            if nz > top:  # the top fell; the entries above it go unread
+                nz = top
+        low = live[: nz + 1]
+        if hi >= k:
+            moved = live[: hi - k + 1] * p
+            low *= 1.0 - p
+            high = live[k : hi + 1]
+            high += moved
+            del moved  # free it before the next step allocates its own
+        else:
+            low *= 1.0 - p
+        if grows and not any(laws[hi].tolist()):  # the new top underflowed to 0.0
+            rows = np.flatnonzero(laws[nz + 1 : hi]) // len(starts)
+            hi = nz + 1 + int(rows[-1]) if len(rows) else nz
+        nz = hi
         yield k, laws[: top + 1]
 
 
@@ -179,13 +206,13 @@ def _laws(requests: Iterable[tuple[int, int, int | None]]) -> dict[tuple, np.nda
     tops = [(n * (n + 1) - m * (m + 1)) // 2 for m, n, _ in requests]
     tops = [t if cap is None else min(t, cap) for t, (_, _, cap) in zip(tops, requests)]
     due: dict[int, list[int]] = {}
-    keep = [0] * (n_max + 1)
+    keep = np.zeros(n_max + 1, dtype=np.int64)
     for j, (_, n, _) in enumerate(requests):
         due.setdefault(n, []).append(j)
         keep[n] = max(keep[n], tops[j])
-    keep = list(itertools.accumulate(reversed(keep), max))[::-1]
+    keep = np.maximum.accumulate(keep[::-1])[::-1]
     book = {}
-    for k, laws in _steps(starts, n_max, cap=keep[0], keep=keep):
+    for k, laws in _steps(starts, n_max, cap=int(keep[0]), keep=keep):
         for j in due.get(k, ()):
             law = laws[: tops[j] + 1, starts.index(requests[j][0])]
             book[requests[j]] = np.ascontiguousarray(law) if k == n_max else law.copy()
@@ -368,27 +395,29 @@ def _point_probs(kappa: KappaSeq, ns: Sequence[int]) -> list[float]:
     out = []
     chains: dict[int, float] = {}  # t -> u_k(t), for targets above the kept top
     lo, hi = 0, len(ns)  # rows[lo:] are pending; rows[hi:] are chained
+    due = ns[0]
     sweep = _steps((0,), n_max, cap=max(targets), keep=keep)
     for k, laws in itertools.chain([(0, np.ones((1, 1)))], sweep):
-        u = laws[:, 0]
-        if ns[lo] == k:
+        if k == due:
             t = targets[lo]
-            out.append(chains[t] if t in chains else float(u[t]) if t < len(u) else 0.0)
+            out.append(chains[t] if t in chains else laws.item(t, 0) if t < len(laws) else 0.0)
             lo += 1
             if lo == len(ns):
                 break
+            due = ns[lo]
             if targets[lo] != t:
                 chains.pop(t, None)
         while hi > lo and targets[hi - 1] > keep[k + 1]:  # step k + 1 drops it
             hi -= 1
             t = targets[hi]
             if t not in chains:
-                chains[t] = float(u[t]) if t < len(u) else 0.0
-        p = 1.0 / (k + 1)
-        q = 1.0 - p
-        for t, c in chains.items():
-            v = t - k - 1
-            chains[t] = c * q + (float(u[v]) if 0 <= v < len(u) else 0.0) * p
+                chains[t] = laws.item(t, 0) if t < len(laws) else 0.0
+        if chains:
+            p = 1.0 / (k + 1)
+            q = 1.0 - p
+            for t, c in chains.items():
+                v = t - k - 1
+                chains[t] = c * q + (laws.item(v, 0) if 0 <= v < len(laws) else 0.0) * p
     return out
 
 

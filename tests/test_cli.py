@@ -137,7 +137,7 @@ def test_cli_import_loads_no_scipy():
     assert out.strip() == "[]"
 
 
-def test_usage_errors(capsys):
+def test_usage_errors(capsys, tmp_path):
     with pytest.raises(SystemExit) as exc:
         main(["no-such-command"])
     assert exc.value.code == 2
@@ -167,6 +167,15 @@ def test_usage_errors(capsys):
                  ("estimate-rho", "--x", "2", "--paths", "0")):
         code, _ = run(capsys, *argv)
         assert code == 2, argv  # a horizon below 2 or no paths
+    missing = tmp_path / "no-such-dir"
+    for argv in (("rho", "--x", "1", "--output", str(missing / "f.csv")),
+                 ("stimabase", "--golden", "regenerate", "--golden-file", str(missing / "g.json")),
+                 ("pmf", "--n", str(10**7))):  # the full law needs 364 TiB
+        code = main(list(argv))
+        out, err = capsys.readouterr()
+        assert code == 2 and out == "", argv  # an unwritable file or a law too large
+        assert err.startswith("error: ") and err.count("\n") == 1, argv
+    assert not missing.exists()
 
 
 def test_aslt_reaches_large_horizons(capsys):

@@ -122,3 +122,21 @@ def alpha_j_rational(m, n, j):
 def test_alpha_j_is_the_rational_loop(mn, j):
     m, n = mn
     assert alpha_j(m, n, j) == alpha_j_rational(m, n, j)
+
+
+def alpha_j_integer_loop(m, n, j):
+    """alpha_j by the per-k Horner loop: one exact integer term per k of the block."""
+    coeffs = (cumulant_explicit(j) if j >= 2 else cumulant_recurrence(1)).coeffs
+    total = 0
+    for k in range(m + 1, n + 1):
+        acc = 0
+        for c in coeffs:  # sum_i c_i k^(j-i)
+            acc = acc * k + c
+        total += acc - k ** (j - 1)
+    return float(Fraction(total, n - m))
+
+
+@pytest.mark.parametrize("m,n", [(2, 3), (2, 4), (5, 9), (20, 1500), (100, 5000)])
+def test_alpha_j_power_sums_are_the_per_k_loop(m, n):
+    for j in range(1, 12):
+        assert repr(alpha_j(m, n, j)) == repr(alpha_j_integer_loop(m, n, j)), j

@@ -1,3 +1,4 @@
+import hashlib
 import itertools
 import math
 import tracemalloc
@@ -8,7 +9,7 @@ import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
-from dickmanlab.audits import w2_check
+from dickmanlab.audits import llt_table, run_calibration, w2_check
 from dickmanlab.dickman import build_rho_table, dickman_cdf
 from dickmanlab.exact_dist import (
     KappaSeq,
@@ -235,6 +236,42 @@ def test_kolmogorov_distance_is_the_per_atom_loop(table, table16, m, n):
                 kolmogorov_distance(Pmf(m, n, _law(m, n, n - m), "float"), tab)
 
 
+# sha256 of laws and rows deep in the underflow regime, recorded before the
+# DP skipped its exactly-zero tail; an nz bound off by one moves them.
+PMF_600_SHA256 = "2489952c613221bb67207410eb5a403c7372d5dc99f171a4758249bfdfaf96b3"
+LLT_ROWS_SHA256 = {
+    (1, "exact-multiple", (150, 300, 600, 1250, 2500, 5000, 10000, 20000)):
+        "7f4e535e40fe1692b98c8b29a130a75cca47af1d517bdfac81f0722c18e4c95a",
+    (1.775, "floor", (150, 300, 600, 1000, 2000, 4000)):
+        "75e3a8ce90bf72718786a23f6fbfcf329eb43931862b43c34c887505e27ca89e",
+}
+
+
+def test_underflowing_laws_and_rows_are_frozen(table):
+    assert hashlib.sha256(pmf(0, 600).probs.tobytes()).hexdigest() == PMF_600_SHA256
+    for (x, mode, ns), digest in LLT_ROWS_SHA256.items():
+        rows = llt_table(KappaSeq(x, mode), ns, table)
+        assert hashlib.sha256(repr(rows).encode()).hexdigest() == digest, x
+
+
+def test_dp_skips_the_zero_tail_and_no_nonzero_entry(dp_ops, table):
+    # The sweep of pmf(0, 600) covers 36,180,800 cells, 16,088,552 of them
+    # exact zeros above the last nonzero atom 73,515; the full sweep makes
+    # 108,001,500 element operations.  Step k must still scale each nonzero
+    # entry of u_{k-1} and move each one below top_k - k + 1 (two operations).
+    need = last = 0
+    for k, laws in _steps((0,), 600):
+        need += last + 1 + 2 * max(min(last, len(laws) - 1 - k) + 1, 0)
+        last = int(np.flatnonzero(laws)[-1])
+    assert last == 73_515
+    assert need <= dp_ops() <= 0.65 * 108_001_500
+    # The calibration has no zero tail to skip, and its count must not rise
+    # from the 20,242,276 of the full sweep.
+    before = dp_ops()
+    run_calibration(table)
+    assert dp_ops() - before <= 20_242_276
+
+
 def test_full_law_peak_memory_is_small():
     # the law of T_600 is 1.38 MB; each step's temporary is freed before the next
     tracemalloc.start()
@@ -415,6 +452,10 @@ def law_requests(draw):
 
 @given(requests=law_requests())
 @example(requests=[(0, 200, None), (0, 200, 0), (3, 7, 2), (3, 50, 25), (199, 200, 400)])
+@example(requests=[(0, 600, None)])  # the top underflows from k = 178 on: a zero tail
+@example(requests=[(7, 350, None)])
+@example(requests=[(0, 450, None), (5, 450, None), (40, 450, None), (5, 300, 9000),
+                   (40, 400, None)])
 @settings(max_examples=60, deadline=None)
 def test_batched_laws_are_the_one_block_laws_bit_for_bit(requests):
     book = _laws(requests)
