@@ -11,7 +11,7 @@ from .dickman import (
     rho_integral,
     rho_sq_integral,
 )
-from .exact_dist import KappaSeq, Pmf, cov_Y, kolmogorov_distance, pmf, prob_at, scaled_cdf
+from .exact_dist import KappaSeq, Pmf, cov_Y, kolmogorov_distance, pmf, prob_at
 from .simulate import PathEstimate, estimate_gamma, estimate_rho, simulate_path, simulate_paths
 
 __all__ = [
@@ -29,7 +29,6 @@ __all__ = [
     "rho_sq_integral",
     "pmf",
     "prob_at",
-    "scaled_cdf",
     "kolmogorov_distance",
     "cov_Y",
     "simulate_path",

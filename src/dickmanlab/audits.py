@@ -64,11 +64,9 @@ class AuditRow:
 def llt_table(kappa: KappaSeq, n_list, table: RhoTable) -> list[AuditRow]:
     """Point-probability convergence: lhs = n P(T_n = kappa_n), target e^-g rho(x).
 
-    One DP sweep reads every requested n (``_point_probs``).  It keeps u_k
-    only up to R - k - 1, R the largest target still to be read, and carries
-    each pending target t above that as the chain
-    c <- c (1 - 1/k) + u_{k-1}(t - k) (1/k), the DP's own float operations,
-    so each lhs is n * point_prob_scan(kappa, n)[n - 1] bit for bit.
+    One DP sweep reads every requested n (``_point_probs``, whose cost
+    stays linear in n for dense and sparse rows alike), so each lhs is
+    n * point_prob_scan(kappa, n)[n - 1] bit for bit.
     """
     n_list = sorted(set(int(n) for n in n_list))
     if not n_list:

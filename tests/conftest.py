@@ -20,10 +20,16 @@ class CountedOps(np.ndarray):
     """An array whose every ufunc call adds the size of its outputs to ``total``.
 
     In-place and new outputs count alike, so the total is the number of
-    element operations made on such arrays and on views of them.
+    element operations made on such arrays and on views of them.  Each
+    ``item`` read adds one to ``reads``.
     """
 
     total = 0
+    reads = 0
+
+    def item(self, *args):
+        CountedOps.reads += 1
+        return super().item(*args)
 
     def __array_ufunc__(self, ufunc, method, *inputs, out=None, **kwargs):
         plain = [np.asarray(a) if isinstance(a, CountedOps) else a for a in inputs]
@@ -39,7 +45,7 @@ class CountedOps(np.ndarray):
 
 @pytest.fixture
 def dp_ops(monkeypatch):
-    """A reader of the element operations made on the float arrays exact_dist allocates.
+    """A reader of (element operations, item reads) on the float arrays exact_dist allocates.
 
     ``exact_dist`` sees a numpy whose ``zeros`` returns ``CountedOps`` for
     float arrays: the DP table of ``_steps`` and the laws copied from it.
@@ -52,8 +58,8 @@ def dp_ops(monkeypatch):
     counting.__dict__.update(vars(np))
     counting.zeros = zeros
     monkeypatch.setattr(exact_dist, "np", counting)
-    CountedOps.total = 0
-    return lambda: CountedOps.total
+    CountedOps.total = CountedOps.reads = 0
+    return lambda: (CountedOps.total, CountedOps.reads)
 
 
 def pytest_terminal_summary(terminalreporter, exitstatus, config):

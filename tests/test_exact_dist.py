@@ -264,12 +264,29 @@ def test_dp_skips_the_zero_tail_and_no_nonzero_entry(dp_ops, table):
         need += last + 1 + 2 * max(min(last, len(laws) - 1 - k) + 1, 0)
         last = int(np.flatnonzero(laws)[-1])
     assert last == 73_515
-    assert need <= dp_ops() <= 0.65 * 108_001_500
+    assert need <= dp_ops()[0] <= 0.65 * 108_001_500
     # The calibration has no zero tail to skip, and its count must not rise
     # from the 20,242,276 of the full sweep.
-    before = dp_ops()
+    before = dp_ops()[0]
     run_calibration(table)
-    assert dp_ops() - before <= 20_242_276
+    assert dp_ops()[0] - before <= 20_242_276
+
+
+def test_point_reader_is_linear_on_dense_rows(dp_ops, table):
+    # Every n to 5000 at x = 1.  Chaining every target above R - k - 1 made
+    # 24.0M element operations but 6,254,901 reads, about n^2/4 chain updates.
+    n = 5000
+    llt_table(KappaSeq(1), range(1, n + 1), table)
+    ops, reads = dp_ops()
+    assert ops <= 2 * n * (n + 1) and reads <= 2 * n
+
+
+def test_point_reader_costs_no_more_on_sparse_rows(dp_ops, table):
+    # The x = 1 rows of the large-n tables, with the counts of the reader
+    # that kept R - k - 1 and chained every target above it.
+    llt_table(KappaSeq(1), (150, 300, 600, 1250, 2500, 5000, 10000, 20000), table)
+    ops, reads = dp_ops()
+    assert ops <= 392_050_336 and reads <= 19_809
 
 
 def test_full_law_peak_memory_is_small():
@@ -401,24 +418,8 @@ slopes = st.one_of(
 )
 
 
-@given(x=slopes, mode=st.sampled_from(["floor", "round"]),
-       ns=st.lists(st.integers(1, 400), min_size=1, max_size=6))
-@example(x=Fraction(1), mode="floor", ns=[1])
-@example(x=Fraction(5), mode="floor", ns=[1, 2, 3])  # targets past S_n
-@example(x=Fraction(3, 10), mode="round", ns=[1, 2, 3, 4])
-@example(x=Fraction(1, 20), mode="floor", ns=[1, 19, 20, 21])  # tiny targets
-@example(x=Fraction(1), mode="floor", ns=list(range(1, 41)))
-@settings(max_examples=80, deadline=None)
-def test_point_probs_is_the_scan_bit_for_bit(x, mode, ns):
-    kappa = KappaSeq(x, mode)
-    ns = sorted(set(ns))
-    scan = point_prob_scan(kappa, ns[-1])
-    got = np.array(_point_probs(kappa, ns))
-    assert got.tobytes() == scan[np.array(ns) - 1].tobytes()
-
-
-def one_block_law(m, n, cap=None):
-    """The one-block float DP over k = m+1 .. n, the reference each batched law must match."""
+def one_block_steps(m, n, cap=None):
+    """The one-block float DP over k = m+1 .. n, yielding (k, law of T_m^k on 0..min(S, cap))."""
     size = (n * (n + 1) - m * (m + 1)) // 2
     if cap is not None:
         size = min(size, cap)
@@ -432,7 +433,37 @@ def one_block_law(m, n, cap=None):
         probs[: top + 1] *= 1.0 - p
         probs[k : new_top + 1] += moved
         top = new_top
+        yield k, probs
+
+
+def one_block_law(m, n, cap=None):
+    """The one-block float DP law, the reference each batched law must match."""
+    *_, (_, probs) = one_block_steps(m, n, cap)
     return probs
+
+
+def one_block_point_probs(kappa, n_max):
+    """P(T_n = kappa_n), n = 1..n_max, read from one one-block DP capped at kappa_{n_max}."""
+    cap = kappa(n_max)
+    return np.array([probs[kappa(n)] if kappa(n) < len(probs) else 0.0
+                     for n, probs in one_block_steps(0, n_max, cap)])
+
+
+@given(x=slopes, mode=st.sampled_from(["floor", "round"]),
+       ns=st.lists(st.integers(1, 400), min_size=1, max_size=6))
+@example(x=Fraction(1), mode="floor", ns=[1])
+@example(x=Fraction(5), mode="floor", ns=[1, 2, 3, 7, 9])  # targets past S_n
+@example(x=Fraction(3, 10), mode="round", ns=[1, 2, 3, 4])
+@example(x=Fraction(1, 20), mode="floor", ns=[1, 19, 20, 21, 39, 40, 300])  # repeated targets
+@example(x=Fraction(1), mode="floor", ns=list(range(1, 301)))  # dense rows
+@example(x=1.2345678901234567, mode="round", ns=[5, 80, 81, 333])  # a 17-digit slope
+@settings(max_examples=80, deadline=None)
+def test_point_probs_are_the_one_block_dp_bit_for_bit(x, mode, ns):
+    kappa = KappaSeq(x, mode)
+    ns = sorted(set(ns))
+    want = one_block_point_probs(kappa, ns[-1])
+    assert point_prob_scan(kappa, ns[-1]).tobytes() == want.tobytes()
+    assert np.array(_point_probs(kappa, ns)).tobytes() == want[np.array(ns) - 1].tobytes()
 
 
 @st.composite
