@@ -34,7 +34,7 @@ def main():
 
     print("zero-probability band (x=1, eps=0.2, sigma=1.5):")
     for m, n in ((10, 14), (40, 50), (100, 149)):
-        print(f"  (m={m}, n={n}): P = 0 exactly -> {audits.lemmino_check(1.0, 0.2, m, n)}")
+        print(f"  (m={m}, n={n}): P = 0 exactly -> {audits.lemmino_check(kappa, 0.2, m, n)}")
     print()
 
     print("covariance regimes (x=1):")

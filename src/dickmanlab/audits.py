@@ -12,14 +12,14 @@ every DP law its rows read as an (m, n, cap) request; one ``_laws`` sweep
 builds the book {(m, n, cap): law}, and the plan's reader takes its rows
 from it.  run_calibration builds one book for every audit and slope at
 once; otherwise ``Audit.rows`` builds a book of its own, and each one-cell
-function (``stimabase_check``, ``w1_rows``, ``w2_check``,
-``covariance_audit``, ``gamma_kernel_sup``) is its entry's rows on one cell.
+function (``stimabase_check``, ``w2_check``, ``covariance_audit``,
+``gamma_kernel_sup``) is its entry's rows on one cell.
 """
 from __future__ import annotations
 
 import functools
 import math
-from dataclasses import dataclass, field, replace
+from dataclasses import dataclass, field
 from typing import Callable
 
 import numpy as np
@@ -115,13 +115,11 @@ def _stimabase_plan(pairs, kappa, table):
     return [(m, n, d) for m, n, _, _, d in cells], read
 
 
-def w1_rows(m: int, n: int) -> list[AuditRow]:
-    """Characteristic-function distance |phi_{T/(n-m)}(t) - phi(t)| vs f envelope."""
-    return AUDITS["w1"].rows([(m, n)], None, None)
-
-
 def _w1_plan(pairs, kappa, table):
-    """w1_rows at every pair, in order; phi_dickman is evaluated once per t."""
+    """|phi_{T/(n-m)}(t) - phi(t)| against the f envelope at every pair, in order.
+
+    phi_dickman is evaluated once per t for all pairs.
+    """
     envs = [Envelope(m, n) for m, n in pairs]
 
     def read(book) -> list[AuditRow]:
@@ -170,16 +168,15 @@ def sigma_band(x: float, eps: float) -> float:
     return (1.0 + x * (1.0 - eps)) / (x * (1.0 + eps))
 
 
-def lemmino_check(x: float, eps: float, m: int, n: int, kappa: KappaSeq | None = None) -> bool:
-    """True iff P(T_m^n = kappa_n - kappa_m) is exactly zero.
+def lemmino_check(kappa: KappaSeq, eps: float, m: int, n: int) -> bool:
+    """True iff P(T_m^n = kappa_n - kappa_m) is exactly zero, x the slope of kappa.
 
     Inside the band m < n < sigma*m the increment target lands in the
     support gap [1, m], so the probability vanishes identically.  Exact:
     bit v of ``reach`` is set iff some subset of the weights m+1..n sums
     to v, and with m >= 1 every subset has positive probability.
     """
-    if kappa is None:
-        kappa = KappaSeq(x)
+    x = kappa.x_float
     sigma = sigma_band(x, eps)
     if not (m < n < sigma * m):
         raise ValueError(f"(m={m}, n={n}) outside the band m < n < {sigma * m:.6g}")
@@ -258,9 +255,8 @@ def gamma_kernel_sup(m: int, n: int, u_points: int = 10001) -> float:
 
     The grid covers [0, pi], which suffices because |gamma(-u)| = |gamma(u)|.
     """
-    audit = replace(AUDITS["gamma_kernel"],
-                    plan=functools.partial(_gamma_kernel_plan, u_points=u_points))
-    return audit.rows([(m, n)], None, None)[0].lhs
+    _, read = _gamma_kernel_plan([(m, n)], None, None, u_points)
+    return read({})[0].lhs
 
 
 def _gamma_kernel_plan(pairs, kappa, table, u_points: int = 10001):

@@ -1,16 +1,19 @@
 """Command-line front door: one subcommand per computation or audit.
 
 Reports are CSV (17 significant digits, header row) or JSON carrying the
-full config for provenance.  Exit codes: 0 success, 1 audit regression
-or failed audit, 2 usage error, an unwritable file or a law too large
-for memory, each reported as one ``error:`` line with nothing on stdout.
+full config for provenance, with null for a non-finite float.  Exit
+codes: 0 success, 1 audit regression or failed audit, 2 usage error, an
+unwritable file or a law too large for memory, each reported as one
+``error:`` line with nothing on stdout and the golden file unchanged.
 Reports contain no timestamps, so a fixed config yields byte-identical
 output.
 """
 from __future__ import annotations
 
 import argparse
+import contextlib
 import json
+import math
 import os
 import sys
 from dataclasses import astuple, fields
@@ -33,26 +36,35 @@ def _fmt(v) -> str:
     return str(v)
 
 
-def _emit(args, header, rows) -> None:
-    out = open(args.output, "w") if args.output else sys.stdout
-    try:
-        if args.format == "json":
-            cfg = {k: v for k, v in vars(args).items()
-                   if k not in ("func", "output", "format") and v is not None}
-            payload = {
-                "command": args.command,
-                "config": cfg,
-                "rows": [dict(zip(header, r)) for r in rows],
-            }
-            json.dump(payload, out, indent=2, default=_fmt)
-            out.write("\n")
-        else:
-            out.write(",".join(header) + "\n")
-            for r in rows:
-                out.write(",".join(_fmt(v) for v in r) + "\n")
-    finally:
-        if args.output:
-            out.close()
+def _finite(v):
+    """v with each non-finite float in it as None, JSON's null (JSON has no NaN)."""
+    if isinstance(v, float) and not math.isfinite(v):
+        return None
+    if isinstance(v, (list, tuple)):
+        return [_finite(u) for u in v]
+    return {k: _finite(u) for k, u in v.items()} if isinstance(v, dict) else v
+
+
+def _report(args, header, rows) -> str:
+    if args.format == "json":
+        cfg = {k: v for k, v in vars(args).items()
+               if k not in ("func", "output", "format") and v is not None}
+        payload = {"command": args.command, "config": cfg,
+                   "rows": [dict(zip(header, r)) for r in rows]}
+        return json.dumps(_finite(payload), indent=2, default=_fmt) + "\n"
+    return "".join(",".join(map(_fmt, r)) + "\n" for r in [header, *rows])
+
+
+def _output(args):
+    """The report stream: the ``--output`` file opened for writing, or stdout."""
+    return open(args.output, "w") if args.output else contextlib.nullcontext(sys.stdout)
+
+
+def _emit(args, header, rows) -> int:
+    text = _report(args, header, rows)
+    with _output(args) as out:
+        out.write(text)
+    return EXIT_OK
 
 
 def _int_list(text: str) -> list[int]:
@@ -73,15 +85,18 @@ def _table(args):
     return build_rho_table(x_max=args.xmax, step=args.step)
 
 
-def _golden_gate(args, name: str, constant: float) -> int:
-    """Compare one freshly computed constant against the golden record.
+def _golden_gate(args, name: str, rows, table) -> int:
+    """Check the constant of these rows against the golden record, or regenerate it.
 
     The record is ``--golden-file``, or the packaged file when it is unset.
+    Regenerate stores run_calibration's constant, from the full grids
+    whatever the rows, on this table or else the default one.
     """
     if args.golden == "off":
         return EXIT_OK
     path = args.golden_file
     if args.golden == "regenerate":
+        constant = audits.run_calibration(table or build_rho_table())[name]
         try:
             stored = config.load_golden(path)
         except FileNotFoundError:
@@ -89,6 +104,7 @@ def _golden_gate(args, name: str, constant: float) -> int:
         stored[name] = {"constant": float(constant), "grid_hash": config.grid_hash()}
         config.save_golden(stored, path)
         return EXIT_OK
+    constant = audits.AUDITS[name].solve(rows)
     problems = audits.check_golden({name: constant}, config.load_golden(path))
     for p in problems:
         print(f"golden regression: {p}", file=sys.stderr)
@@ -101,15 +117,13 @@ def cmd_rho(args) -> int:
     table = _table(args)
     rows = [(x, rho(table, x), dickman_density(table, x), dickman_cdf(table, x))
             for x in args.x]
-    _emit(args, ("x", "rho", "density", "cdf"), rows)
-    return EXIT_OK
+    return _emit(args, ("x", "rho", "density", "cdf"), rows)
 
 
 def cmd_pmf(args) -> int:
     dist = pmf(args.m, args.n, mode=args.mode)
     rows = [(v, float(p)) for v, p in enumerate(dist.probs) if p != 0]
-    _emit(args, ("value", "probability"), rows)
-    return EXIT_OK
+    return _emit(args, ("value", "probability"), rows)
 
 
 def cmd_llt_table(args) -> int:
@@ -117,8 +131,7 @@ def cmd_llt_table(args) -> int:
     kappa = _kappa(args.x, args.kappa_mode)
     rows = audits.llt_table(kappa, args.n, table)
     out = [(r.n, r.lhs, r.envelope, abs(r.lhs - r.envelope)) for r in rows]
-    _emit(args, ("n", "n_times_prob", "target", "abs_error"), out)
-    return EXIT_OK
+    return _emit(args, ("n", "n_times_prob", "target", "abs_error"), out)
 
 
 def cmd_audit(args) -> int:
@@ -136,8 +149,12 @@ def cmd_audit(args) -> int:
     rows = audit.rows(pairs, kappa, table)
     if not rows:
         raise ValueError(f"no {name} grid cells at x={x}")
-    code = _golden_gate(args, name, audit.solve(rows))  # an unwritable record prints nothing
-    _emit(args, [f.name for f in fields(audits.AuditRow)], [astuple(r) for r in rows])
+    text = _report(args, [f.name for f in fields(audits.AuditRow)], [astuple(r) for r in rows])
+    # The output opens before the gate and is written after it, so a run
+    # that exits 2 leaves the golden file as it was, or prints nothing.
+    with _output(args) as out:
+        code = _golden_gate(args, name, rows, table)
+        out.write(text)
     return code
 
 
@@ -146,13 +163,12 @@ def cmd_zs(args) -> int:
     powers = power_sum_scan(args.n)
     rows = [audits.zs_check(n, table, power=powers[n]) for n in sorted(powers)]
     out = [(r.n, r.lhs, r.envelope, abs(r.lhs - r.envelope)) for r in rows]
-    _emit(args, ("n", "l2_integral", "limit", "gap"), out)
-    return EXIT_OK
+    return _emit(args, ("n", "l2_integral", "limit", "gap"), out)
 
 
 def cmd_lemmino(args) -> int:
     kappa = _kappa(args.x, args.kappa_mode)
-    ok = audits.lemmino_check(args.x, args.eps, args.m, args.n, kappa)
+    ok = audits.lemmino_check(kappa, args.eps, args.m, args.n)
     _emit(args, ("m", "n", "x", "eps", "zero_probability"),
           [(args.m, args.n, args.x, args.eps, ok)])
     return EXIT_OK if ok else EXIT_REGRESSION
@@ -162,8 +178,7 @@ def cmd_cumulants(args) -> int:
     poly = cumulant_explicit(args.n)
     rows = [("coeff", args.n, i, str(c)) for i, c in enumerate(poly.coeffs)]
     rows += [("a", args.n, k, str(a_coeff(k, args.n))) for k in range(args.n + 1)]
-    _emit(args, ("kind", "n", "index", "value"), rows)
-    return EXIT_OK
+    return _emit(args, ("kind", "n", "index", "value"), rows)
 
 
 def _seeds(args) -> list[int]:
@@ -174,28 +189,23 @@ def cmd_aslt(args) -> int:
     kappa = _kappa(args.x, args.kappa_mode)
     paths = simulate.simulate_paths(kappa, args.N, _seeds(args))
     rows = [(i, p.seed, p.N, p.hits, p.log_avg) for i, p in enumerate(paths)]
-    _emit(args, ("path", "seed", "N", "hits", "log_avg"), rows)
-    return EXIT_OK
+    return _emit(args, ("path", "seed", "N", "hits", "log_avg"), rows)
 
 
 def cmd_estimate_gamma(args) -> int:
     gamma_est, raw_mean = simulate.estimate_gamma(args.N, _seeds(args))
-    _emit(args, ("N", "paths", "gamma_estimate", "mean_log_avg"),
-          [(args.N, args.paths, gamma_est, raw_mean)])
-    return EXIT_OK
+    return _emit(args, ("N", "paths", "gamma_estimate", "mean_log_avg"),
+                 [(args.N, args.paths, gamma_est, raw_mean)])
 
 
 def cmd_estimate_rho(args) -> int:
     est = simulate.estimate_rho(args.x, args.N, _seeds(args))
-    _emit(args, ("x", "N", "paths", "rho_estimate"),
-          [(args.x, args.N, args.paths, est)])
-    return EXIT_OK
+    return _emit(args, ("x", "N", "paths", "rho_estimate"), [(args.x, args.N, args.paths, est)])
 
 
 def cmd_dispersion(args) -> int:
     rows = simulate.dispersion_diagnostic(args.x, args.N, _seeds(args))
-    _emit(args, ("N", "std_log_avg"), rows)
-    return EXIT_OK
+    return _emit(args, ("N", "std_log_avg"), rows)
 
 
 # -------------------------------------------------------------------- parser
@@ -311,6 +321,8 @@ def main(argv=None) -> int:
     args = ap.parse_args(argv)
     if args.func is cmd_audit and (args.m is None) != (args.n is None):
         ap.error("--m requires --n" if args.n is None else "--n requires --m")
+    if args.func is cmd_audit and args.m is not None and args.golden == "regenerate":
+        ap.error("--golden regenerate records the full grids' constant: drop --m and --n")
     golden_file = getattr(args, "golden_file", None)
     if golden_file and args.golden == "check" and not os.path.isfile(golden_file):
         ap.error(f"--golden-file {golden_file} is not a file")

@@ -42,10 +42,6 @@ class CumulantPoly:
     n: int
     coeffs: tuple  # exact ints
 
-    @property
-    def degree(self) -> int:
-        return len(self.coeffs) - 1
-
     def eval_at(self, x: Fraction) -> Fraction:
         acc = Fraction(0)
         for c in reversed(self.coeffs):

@@ -117,20 +117,20 @@ class Pmf:
         return self.n - self.m
 
 
-def _steps(starts: Sequence[int], n: int, cap: int | None = None,
-           keep: Sequence[int] | None = None):
+def _steps(starts: Sequence[int], n: int, keep: Sequence[int] | None = None):
     """Float DP over k = starts[0]+1 .. n, in place, for sorted block starts.
 
     Yields (k, laws): column i of laws is the law of T_{starts[i]}^k on
     0..top.  Update per weight k:  new[v] = old[v]*(1 - 1/k) + old[v-k]*(1/k),
     on the columns with starts[i] < k only; the others stay a delta at 0.
-    The support top is S_k = sum_{j=starts[0]+1}^k j, or cap if smaller:
+    The support top is S_k = sum_{j=starts[0]+1}^k j.  With ``keep``,
+    nonincreasing, where keep[k] is the largest entry that any read after
+    step k needs, the top falls to keep[k] if smaller (but not below 0):
     entry v depends only on entries <= v, so truncation leaves every kept
-    entry exact.  With ``keep``, nonincreasing, where keep[k] is the largest
-    entry that any read after step k needs, the top also falls to keep[k]
-    (but not below 0).  Once it falls it stays down, so every entry a later
-    step reads was kept at each step before, and stale entries above the
-    top go unread.  ``_laws`` passes the largest cap still pending.
+    entry exact.  Once it falls it stays down, so every entry a later step
+    reads was kept at each step before, and stale entries above the top go
+    unread; the table holds the largest top.  ``_laws`` passes the largest
+    cap still pending.
     ``_point_probs`` passes max(R - k - 1, N_k), R its largest pending
     target and N_k its last one within G of the one below: entry v of u_k
     reaches u_j(t), j > k, only through entries t - (sum of weights in
@@ -150,17 +150,13 @@ def _steps(starts: Sequence[int], n: int, cap: int | None = None,
     step.
     """
     m = starts[0]
-    size = (n * (n + 1) - m * (m + 1)) // 2
-    if cap is not None:
-        size = min(size, cap)
-    laws = np.zeros((size + 1, len(starts)))
-    laws[0] = 1.0
-    # top_k = min(top_{k-1} + k, c_k), c_k = min(size, max(keep[k], 0)),
-    # is min(S_k, c_k) since c_k is nonincreasing.
+    # top_k = min(top_{k-1} + k, c_k), c_k = max(keep[k], 0), is min(S_k, c_k)
+    # since c_k is nonincreasing.
     tops = np.arange(m + 1, n + 1).cumsum()
-    np.minimum(tops, size, out=tops)
     if keep is not None:
         np.minimum(tops, np.maximum(keep[m + 1 : n + 1], 0), out=tops)
+    laws = np.zeros((int(tops.max()) + 1, len(starts)))
+    laws[0] = 1.0
     goes_live = {s + 1: laws[:, : i + 1] for i, s in enumerate(starts)}  # first weight s + 1
     live = None
     nz = 0  # every entry above nz is 0.0
@@ -214,7 +210,7 @@ def _laws(requests: Iterable[tuple[int, int, int | None]]) -> dict[tuple, np.nda
         keep[n] = max(keep[n], tops[j])
     keep = np.maximum.accumulate(keep[::-1])[::-1]
     book = {}
-    for k, laws in _steps(starts, n_max, cap=int(keep[0]), keep=keep):
+    for k, laws in _steps(starts, n_max, keep):
         for j in due.get(k, ()):
             law = laws[: tops[j] + 1, starts.index(requests[j][0])]
             book[requests[j]] = np.ascontiguousarray(law) if k == n_max else law.copy()
@@ -247,16 +243,6 @@ def prob_at(dist: Pmf, v: int) -> float:
     if 0 <= v < len(dist.probs):
         return float(dist.probs[v])
     return 0.0
-
-
-def scaled_cdf(dist: Pmf, x: float) -> float:
-    """P(T_m^n / (n - m) <= x)."""
-    thr = x * dist.span
-    idx = int(math.floor(thr + 1e-9))
-    if idx < 0:
-        return 0.0
-    idx = min(idx, len(dist.probs) - 1)
-    return float(np.sum(np.asarray(dist.probs, dtype=float)[: idx + 1]))
 
 
 def _dickman_tail(table: RhoTable, x: float) -> float:
@@ -343,11 +329,6 @@ def power_sum(dist: Pmf):
     return float(np.dot(probs, probs))
 
 
-def mean(dist: Pmf) -> float:
-    probs = np.asarray(dist.probs, dtype=float)
-    return float(np.dot(probs, np.arange(len(probs))))
-
-
 def convolve(a: Pmf, b: Pmf) -> Pmf:
     """Law of the sum of the two independent blocks (a.n must equal b.m)."""
     if a.n != b.m:
@@ -405,7 +386,7 @@ def _point_probs(kappa: KappaSeq, ns: Sequence[int]) -> list[float]:
         reads[n] = t
     out = []
     chains: dict[int, float] = {}  # t -> u_k(t), for targets above the kept top
-    sweep = _steps((0,), n_max, cap=targets[-1], keep=keep)
+    sweep = _steps((0,), n_max, keep)
     for k, laws in itertools.chain([(0, np.ones((1, 1)))], sweep):
         t = reads[k]
         if t is not None:

@@ -1,6 +1,6 @@
 """Characteristic functions and bound envelopes.
 
-Covers the characteristic functions of Z_k, T_m^n and the Dickman law,
+Covers the characteristic functions of T_m^n and the Dickman law,
 the error kernel gamma_{m,n}, the f/g/chi bound envelopes with their
 calibration constant, and the L2 quantities tied to the Parseval
 identity for integer-supported laws.
@@ -23,15 +23,8 @@ _GL_U, _GL_W = (_GL_X + 1.0) / 2.0, _GL_W / 2.0
 _PHI_T_MAX = 1e4
 
 
-def phi_Z(k: int, t: float) -> complex:
-    """Characteristic function of Z_k: 1 + (e^{it} - 1)/k."""
-    if k < 1:
-        raise ValueError(f"need k >= 1, got {k}")
-    return 1.0 + (cmath.exp(1j * t) - 1.0) / k
-
-
 def phi_T(m: int, n: int, t) -> complex | np.ndarray:
-    """Characteristic function of T_m^n: product of phi_Z(k, t*k).
+    """Characteristic function of T_m^n: product over k of 1 + (e^{itk} - 1)/k.
 
     Accepts a scalar t or an array of t values.
     """
@@ -39,7 +32,7 @@ def phi_T(m: int, n: int, t) -> complex | np.ndarray:
         raise ValueError(f"need 0 <= m < n, got m={m}, n={n}")
     t_arr = np.asarray(t, dtype=float)
     ks = np.arange(m + 1, n + 1)
-    # factors[j, i] = phi_Z(ks[j], t_i * ks[j])
+    # factors[j, i] is the characteristic function of Z_{ks[j]} at t_i * ks[j]
     tk = np.multiply.outer(ks.astype(float), t_arr)
     factors = 1.0 + (np.exp(1j * tk) - 1.0) / ks.reshape((-1,) + (1,) * t_arr.ndim)
     out = np.prod(factors, axis=0)
@@ -86,16 +79,8 @@ def gamma_mn(m: int, n: int, u) -> complex | np.ndarray:
     return complex(out) if np.ndim(u) == 0 else out
 
 
-def gamma_grid(m: int, n: int, u_points: int) -> np.ndarray:
-    """gamma_mn on the grid u_j = pi j/(P-1), j = 0..P-1, P = u_points, by one FFT.
-
-    The one-n case of ``gamma_grids``.
-    """
-    return next(gamma_grids(m, [n], u_points))
-
-
 def gamma_grids(m: int, ns, u_points: int):
-    """gamma_grid(m, n, u_points) for each n of ns in turn, from one series per m.
+    """gamma_mn(m, n, u_j) on u_j = pi j/(P-1), j < P = u_points, for each n of ns.
 
     With M = 2(P-1), e^{i u_j k} = w^{jk} for the M-th root of unity w.  For
     k >= 3 and |z| = 1 the term is a geometric series in z,

@@ -158,9 +158,9 @@ def test_criterion_09_point_estimate_shape():
 def test_criterion_10_zero_band():
     ok = True
     for m, n in ((40, 50), (10, 14), (20, 29), (100, 149)):
-        ok &= audits.lemmino_check(1.0, 0.2, m, n)
+        ok &= audits.lemmino_check(KappaSeq(1.0), 0.2, m, n)
     for m, n in ((40, 50), (10, 12), (20, 25), (100, 127)):
-        ok &= audits.lemmino_check(2.0, 0.1, m, n)
+        ok &= audits.lemmino_check(KappaSeq(2.0), 0.1, m, n)
     record(10, "zero probability inside the sigma band, both (x, eps) settings", ok)
 
 

@@ -1,12 +1,15 @@
+import functools
 import math
 import tracemalloc
 
 import numpy as np
 import pytest
+from hypothesis import assume, example, given, settings
+from hypothesis import strategies as st
 
 from dickmanlab import audits, config, exact_dist
 from dickmanlab.exact_dist import KappaSeq, pmf, prob_at
-from dickmanlab.spectral import gamma_mn
+from dickmanlab.spectral import Envelope, f_envelope, gamma_mn, phi_T, phi_dickman
 
 KAPPA1 = KappaSeq(1, mode="exact-multiple")
 
@@ -74,22 +77,51 @@ def test_sigma_band():
 
 
 def test_lemmino_inside_band():
-    assert audits.lemmino_check(1.0, 0.2, 40, 50)
-    assert audits.lemmino_check(1.0, 0.2, 10, 14)
-    assert audits.lemmino_check(2.0, 0.1, 40, 50)
+    assert audits.lemmino_check(KappaSeq(1.0), 0.2, 40, 50)
+    assert audits.lemmino_check(KappaSeq(1.0), 0.2, 10, 14)
+    assert audits.lemmino_check(KappaSeq(2.0), 0.1, 40, 50)
     # The zero is read from exact reachability, not from a float law on
     # 0..2,205,450.
-    assert audits.lemmino_check(1.0, 0.2, 2000, 2900)
+    assert audits.lemmino_check(KappaSeq(1.0), 0.2, 2000, 2900)
 
 
 def test_lemmino_outside_band_is_error():
     with pytest.raises(ValueError):
-        audits.lemmino_check(1.0, 0.2, 40, 70)
+        audits.lemmino_check(KappaSeq(1.0), 0.2, 40, 70)
 
 
 def test_lemmino_band_widens_as_eps_shrinks():
     # sigma -> 2 as eps -> 0, so pairs further out become admissible
-    assert audits.lemmino_check(1.0, 0.01, 40, 78)
+    assert audits.lemmino_check(KappaSeq(1.0), 0.01, 40, 78)
+
+
+@st.composite
+def lemmino_cells(draw):
+    """(kappa, eps, m, n): a decimal slope, eps in (0, 1/(2x)), an in-band cell, n <= 64."""
+    x = draw(st.decimals("0.5", "4", places=3))
+    kappa = KappaSeq(x, mode=draw(st.sampled_from(("floor", "round"))))
+    x = kappa.x_float
+    eps = draw(st.floats(0.02, 0.98)) / (2.0 * x)
+    sigma = audits.sigma_band(x, eps)
+    cells = [(m, n) for n in range(2, 65) for m in range(1, n) if n < sigma * m
+             and all(abs(kappa(j) / j - x) < eps * x for j in (m, n))]
+    assume(cells)
+    return (kappa, eps, *draw(st.sampled_from(cells)))
+
+
+@functools.cache
+def _exact_law(m, n):
+    return pmf(m, n, mode="exact").probs
+
+
+@given(case=lemmino_cells())
+@settings(max_examples=40, deadline=None)
+@example(case=(KappaSeq(1.0), 0.2, 40, 50))
+@example(case=(KappaSeq(2.0, mode="round"), 0.1, 40, 50))
+def test_lemmino_is_the_exact_law_at_its_target(case):
+    kappa, eps, m, n = case
+    d = kappa(n) - kappa(m)
+    assert audits.lemmino_check(kappa, eps, m, n) == (_exact_law(m, n)[d] == 0)
 
 
 def test_covariance_regimes():
@@ -228,12 +260,21 @@ def test_gamma_kernel_series_per_m_is_the_one_pair_sup():
     assert [r.lhs for r in rows] == [audits.gamma_kernel_sup(m, n) for m, n in pairs]
 
 
+def _w1_cell(m, n):
+    """The w1 rows of one cell, from the characteristic functions directly."""
+    ts = np.linspace(-config.W1_T_SPAN, config.W1_T_SPAN, config.W1_T_POINTS)
+    return [audits.AuditRow("w1", m, n, float(t), 0, 0, abs(v - phi_dickman(float(t))),
+                            f_envelope(Envelope(m, n), t))
+            for t, v in zip(ts, phi_T(m, n, ts / (n - m)))]
+
+
 # Each one-cell function by registry key: (its result at (m, n), that
-# result read from the registry rows of the one cell).
+# result read from the registry rows of the one cell).  w1 has no one-cell
+# function in the package; its entry computes the rows of one cell itself.
 ONE_CELL = {
     "stimabase": (lambda m, n, kappa, table: audits.stimabase_check(m, n, kappa),
                   lambda rows: rows[0]),
-    "w1": (lambda m, n, kappa, table: audits.w1_rows(m, n), lambda rows: rows),
+    "w1": (lambda m, n, kappa, table: _w1_cell(m, n), lambda rows: rows),
     "w2": (lambda m, n, kappa, table: audits.w2_check(m, n, table), lambda rows: rows[0]),
     "gamma_kernel": (lambda m, n, kappa, table: audits.gamma_kernel_sup(m, n),
                      lambda rows: rows[0].lhs),

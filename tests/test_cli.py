@@ -2,6 +2,7 @@ import hashlib
 import json
 import math
 import os
+import shlex
 import subprocess
 import sys
 import warnings
@@ -215,3 +216,96 @@ def test_x_below_one_warns_once():
     assert proc.returncode == 0
     lines = proc.stderr.splitlines()
     assert len(lines) == 1 and lines[0].startswith("warning: x=0.5 < 1")
+
+
+def _golden_copy(tmp_path):
+    path = tmp_path / "g.json"
+    path.write_bytes(Path(str(config.golden_path())).read_bytes())
+    return path
+
+
+def test_regenerate_stores_the_full_grid_constant(tmp_path, capsys, table):
+    path = _golden_copy(tmp_path)
+    # The report shows the x = 2 rows; the stored constant is the calibration's.
+    code, out = run(capsys, "cov-audit", "--regime", "far", "--x", "2", "--golden", "regenerate",
+                    "--golden-file", str(path))
+    assert code == 0 and out.splitlines()[1].split(",")[3] == "2"
+    constants = audits.run_calibration(table)
+    assert json.loads(path.read_text())["cov_far"]["constant"] == constants["cov_far"]
+    code, _ = run(capsys, "cov-audit", "--regime", "far", "--golden", "check",
+                  "--golden-file", str(path))
+    assert code == 0
+    for argv, name in ((("stimabase", "--x", "2"), "stimabase"), (("w2",), "w2")):
+        code, _ = run(capsys, *argv, "--golden", "regenerate", "--golden-file", str(path))
+        assert code == 0 and json.loads(path.read_text())[name]["constant"] == constants[name]
+
+
+def test_regenerate_of_one_cell_is_a_usage_error(tmp_path, capsys):
+    path = _golden_copy(tmp_path)
+    before = path.read_bytes()
+    with pytest.raises(SystemExit) as exc:
+        main(["stimabase", "--m", "20", "--n", "1000", "--golden", "regenerate",
+              "--golden-file", str(path)])
+    assert exc.value.code == 2 and capsys.readouterr().out == ""
+    assert path.read_bytes() == before
+
+
+def test_a_run_that_exits_2_leaves_the_golden_file_as_it_was(tmp_path, capsys):
+    path = _golden_copy(tmp_path)
+    golden = json.loads(path.read_text())
+    golden["cov_diag"]["constant"] = 1.0
+    path.write_text(json.dumps(golden))
+    before = path.read_bytes()
+    missing = tmp_path / "missing" / "dir"
+    code = main(["cov-audit", "--regime", "diag", "--golden", "regenerate",
+                 "--golden-file", str(path), "--output", str(missing / "r.csv")])
+    out, err = capsys.readouterr()
+    assert code == 2 and out == "" and err.startswith("error: [Errno 2]")
+    assert path.read_bytes() == before
+    # An unwritable golden file fails before the report: nothing on stdout.
+    code = main(["cov-audit", "--regime", "diag", "--golden", "regenerate",
+                 "--golden-file", str(missing / "g.json")])
+    out, err = capsys.readouterr()
+    assert code == 2 and out == "" and err.startswith("error: ")
+
+
+def _no_constant(token):
+    raise ValueError(f"{token} is not JSON")
+
+
+@pytest.mark.parametrize("argv", [
+    ("rho", "--x", "0.5,2"),
+    ("pmf", "--n", "6", "--mode", "exact"),
+    ("llt-table", "--n", "10,20"),
+    ("stimabase", "--m", "2", "--n", "20"),
+    ("w2", "--m", "2", "--n", "40"),
+    ("zs", "--n", "2,4"),
+    ("lemmino", "--x", "1", "--eps", "0.2", "--m", "40", "--n", "50"),
+    ("cov-audit", "--regime", "far", "--m", "3", "--n", "12"),
+    ("cumulants", "--n", "4"),
+    ("aslt", "--N", "1000", "--paths", "2"),
+    ("estimate-gamma", "--N", "1000", "--paths", "2"),
+    ("estimate-rho", "--x", "2", "--N", "1000", "--paths", "2"),
+    ("dispersion", "--N", "100,1000", "--paths", "2"),
+], ids=lambda argv: argv[0])
+def test_json_reports_are_strict_json(capsys, argv):
+    code, out = run(capsys, *argv, "--format", "json")
+    assert code == 0
+    doc = json.loads(out, parse_constant=_no_constant)
+    assert doc["command"] == argv[0] and doc["rows"]
+    if argv[0] == "w2":
+        assert doc["rows"][0]["x"] is None  # NaN in the row, null in the report
+
+
+def test_readme_cli_examples_run(capsys):
+    readme = (Path(__file__).resolve().parents[1] / "README.md").read_text()
+    block = readme.split("## Command line", 1)[1].split("```sh\n", 1)[1].split("```", 1)[0]
+    lines = [line for line in block.splitlines() if line.startswith("dickmanlab ")]
+    assert len(lines) >= 10
+    for line in lines:
+        argv = shlex.split(line)[1:]
+        assert "regenerate" not in argv, line  # the examples must not write the golden file
+        code, out = run(capsys, *argv)
+        assert code == 0, line
+        if "--format" in argv and argv[argv.index("--format") + 1] == "json":
+            json.loads(out, parse_constant=_no_constant)

@@ -24,13 +24,11 @@ from dickmanlab.exact_dist import (
     convolve,
     cov_Y,
     kolmogorov_distance,
-    mean,
     pmf,
     point_prob_scan,
     power_sum,
     power_sum_scan,
     prob_at,
-    scaled_cdf,
 )
 
 
@@ -112,14 +110,8 @@ def test_prob_at_off_support():
 
 def test_mean_is_span():
     for m, n in [(0, 10), (2, 17), (5, 40)]:
-        assert mean(pmf(m, n)) == pytest.approx(n - m, abs=1e-9)
-
-
-def test_scaled_cdf_values():
-    d2 = pmf(0, 2)
-    assert scaled_cdf(d2, 10.0) == pytest.approx(1.0, abs=1e-15)
-    assert scaled_cdf(d2, 0.4) == 0.0
-    assert scaled_cdf(pmf(0, 3), 1.0) == pytest.approx(2 / 3, abs=1e-15)
+        probs = pmf(m, n).probs
+        assert probs @ np.arange(len(probs)) == pytest.approx(n - m, abs=1e-9)
 
 
 def test_power_sums():

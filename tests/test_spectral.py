@@ -13,7 +13,6 @@ from dickmanlab.spectral import (
     chi,
     f_envelope,
     g_envelope,
-    gamma_grid,
     gamma_grids,
     gamma_mn,
     gamma_series,
@@ -22,24 +21,24 @@ from dickmanlab.spectral import (
     l2_cf_integral_quad,
     l2_cf_limit,
     phi_T,
-    phi_Z,
     phi_dickman,
 )
 from dickmanlab.exact_dist import KappaSeq
 
 
 def test_phi_Z_basics():
-    assert phi_Z(5, 0.0) == 1.0
-    assert phi_Z(1, 0.7) == pytest.approx(cmath.exp(0.7j), abs=1e-15)
+    # phi_T(k - 1, k, t) is the characteristic function of Z_k at t*k.
+    assert phi_T(4, 5, 0.0) == 1.0
+    assert phi_T(0, 1, 0.7) == pytest.approx(cmath.exp(0.7j), abs=1e-15)
     with pytest.raises(ValueError):
-        phi_Z(0, 1.0)
+        phi_T(-1, 0, 1.0)
 
 
 @given(k=st.integers(min_value=1, max_value=1000),
        t=st.floats(min_value=-50, max_value=50, allow_nan=False))
 @settings(max_examples=80, deadline=None)
 def test_phi_Z_modulus_bound(k, t):
-    assert abs(phi_Z(k, t)) <= 1.0 + 1e-12
+    assert abs(phi_T(k - 1, k, t)) <= 1.0 + 1e-12
 
 
 def test_phi_T_at_pi():
@@ -146,7 +145,7 @@ GAMMA_MPMATH = {
 def test_gamma_grid_matches_mpmath_to_1e15_of_the_sup(m, n):
     # Guards the exact roots of unity: the dense e^{iuk} route, with u*k
     # rounded, is off by 1.4e-13 of the sup at (20, 1000).
-    g = gamma_grid(m, n, GAMMA_P)
+    g = next(gamma_grids(m, [n], GAMMA_P))
     sup = max(abs(complex(re, im)) for _, re, im in GAMMA_MPMATH[m, n])
     assert float(np.abs(g).max()) == pytest.approx(sup, rel=1e-15)
     for j, re, im in GAMMA_MPMATH[m, n]:
@@ -165,7 +164,7 @@ def test_gamma_grid_is_gamma_mn_on_the_linspace_grid(mn, P):
     # not the grid sup: at (3, 4), P = 2 the kernel vanishes on the grid and
     # the dense reference is pure rounding (1.2e-16 from e^{4 pi i}).
     m, n = mn
-    g = gamma_grid(m, n, P)
+    g = next(gamma_grids(m, [n], P))
     dense = gamma_mn(m, n, np.linspace(0.0, math.pi, P))
     scale = 2.0 * np.sum(1.0 / np.arange(m - 1, n - 1)) / (n - m)
     assert g.shape == (P,)
@@ -175,9 +174,9 @@ def test_gamma_grid_is_gamma_mn_on_the_linspace_grid(mn, P):
 @pytest.mark.parametrize("u_points", [1, 0, -3])
 def test_gamma_grid_rejects_fewer_than_two_points(u_points):
     with pytest.raises(ValueError):
-        gamma_grid(2, 10, u_points)
+        next(gamma_grids(2, [10], u_points))
     with pytest.raises(ValueError):
-        gamma_grid(1, 10, 11)
+        next(gamma_grids(1, [10], 11))
 
 
 def test_gamma_series_against_closed_form():
@@ -237,12 +236,12 @@ def test_inversion_consistency():
 
 
 def test_w1_envelope_audit_with_golden_constant():
-    from dickmanlab.audits import w1_rows
+    from dickmanlab.audits import AUDITS
 
     c = config.load_golden()["w1"]["constant"]
     for m, n in config.W1_PAIRS:
         env = Envelope(m, n, c_const=c * (1 + 1e-9))
-        for row in w1_rows(m, n):
+        for row in AUDITS["w1"].rows([(m, n)], None, None):
             if row.x != 0.0:
                 assert row.lhs <= f_envelope(env, row.x) + 1e-12
 
@@ -251,6 +250,6 @@ def test_gamma_grids_per_m_are_the_one_n_grids():
     # One series per m serves every n, in any order and with repeats.
     ns = [40, 7, 200, 40, 3]
     for n, g in zip(ns, gamma_grids(2, ns, 257), strict=True):
-        assert g.tobytes() == gamma_grid(2, n, 257).tobytes(), n
+        assert g.tobytes() == next(gamma_grids(2, [n], 257)).tobytes(), n
     with pytest.raises(ValueError):
         next(gamma_grids(5, [9, 5], 11))
