@@ -134,26 +134,29 @@ def cmd_llt_table(args) -> int:
     return _emit(args, ("n", "n_times_prob", "target", "abs_error"), out)
 
 
+def _audit(args) -> audits.Audit:
+    return audits.AUDITS[f"cov_{args.regime}" if args.command == "cov-audit" else args.command]
+
+
 def cmd_audit(args) -> int:
     """stimabase, w2 and cov-audit: one registry audit's rows and golden gate.
 
     The rows come from the audit's plan and one book of its laws, the same
     path run_calibration takes for every audit at once.
     """
-    name = f"cov_{args.regime}" if args.command == "cov-audit" else args.command
-    audit = audits.AUDITS[name]
+    audit = _audit(args)
     x = getattr(args, "x", 1.0)
     kappa = _kappa(x, getattr(args, "kappa_mode", None))
     pairs = [(args.m, args.n)] if args.m is not None else audit.pairs(x)
     table = _table(args) if hasattr(args, "xmax") else None  # only w2 reads it
     rows = audit.rows(pairs, kappa, table)
     if not rows:
-        raise ValueError(f"no {name} grid cells at x={x}")
+        raise ValueError(f"no {audit.key} grid cells at x={x}")
     text = _report(args, [f.name for f in fields(audits.AuditRow)], [astuple(r) for r in rows])
     # The output opens before the gate and is written after it, so a run
     # that exits 2 leaves the golden file as it was, or prints nothing.
     with _output(args) as out:
-        code = _golden_gate(args, name, rows, table)
+        code = _golden_gate(args, audit.key, rows, table)
         out.write(text)
     return code
 
@@ -321,8 +324,12 @@ def main(argv=None) -> int:
     args = ap.parse_args(argv)
     if args.func is cmd_audit and (args.m is None) != (args.n is None):
         ap.error("--m requires --n" if args.n is None else "--n requires --m")
-    if args.func is cmd_audit and args.m is not None and args.golden == "regenerate":
-        ap.error("--golden regenerate records the full grids' constant: drop --m and --n")
+    if args.func is cmd_audit and args.m is not None and args.golden != "off":
+        ap.error(f"--golden {args.golden} reads the full grids' constant: drop --m and --n")
+    if args.func is cmd_audit and args.golden == "check" and (
+            getattr(args, "x", 1.0) not in _audit(args).slopes
+            or getattr(args, "kappa_mode", None) not in (None, "floor")):
+        ap.error(f"--golden check covers x in {_audit(args).slopes} with floor kappa only")
     golden_file = getattr(args, "golden_file", None)
     if golden_file and args.golden == "check" and not os.path.isfile(golden_file):
         ap.error(f"--golden-file {golden_file} is not a file")

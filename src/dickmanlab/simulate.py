@@ -19,7 +19,9 @@ from dataclasses import dataclass
 import numpy as np
 
 from .dickman import EULER_GAMMA
-from .exact_dist import KappaSeq, point_prob_scan
+from .exact_dist import KappaSeq
+
+_HEAD = 4.8605100796397975  # sum of P(T_n = n) over n <= 2000, by the DP
 
 
 @dataclass(frozen=True)
@@ -45,18 +47,25 @@ def _walk(kappas, marks, seed: int, stream: int) -> list[list[int]]:
     k 2^b // (a+1) == k 2^b // a.  On the stretch [k, j) T is constant and,
     kappa being nondecreasing, hits [kappa.first(T), kappa.first(T + 1)).
     """
-    bits = _rng(seed, stream)
+    draw = _rng(seed, stream).random_raw
+    firsts = [kappa.first for kappa in kappas]
     hits = [[0] * len(marks) for _ in kappas]
+    top = max(marks)
     k = T = 1  # Z_1 = 1 always
-    while k <= max(marks):
-        a = b = 0
-        while not (a and (k << b) // a == (k << b) // (a + 1)):
-            a, b = (a << 64) | bits.random_raw(), b + 64
-        j = (k << b) // a + 1
-        for row, kappa in zip(hits, kappas):
-            lo, hi = max(k, kappa.first(T)), min(j, kappa.first(T + 1))
-            for m, mark in enumerate(marks):
-                row[m] += max(0, min(hi, mark + 1) - lo)
+    while k <= top:
+        a, kb = draw(), k << 64  # kb = k 2^b
+        while not a or kb // a != kb // (a + 1):
+            a, kb = (a << 64) | draw(), kb << 64
+        j = kb // a + 1
+        for row, first in zip(hits, firsts):
+            lo = first(T)
+            if lo < j:  # else kappa reaches T only past the stretch
+                hi = first(T + 1)
+                lo, hi = (lo if lo > k else k), (hi if hi < j else j)
+                if lo < hi:
+                    for m, mark in enumerate(marks):
+                        if mark >= lo:
+                            row[m] += (hi if hi <= mark else mark + 1) - lo
         k, T = j, T + j
     return hits
 
@@ -120,17 +129,16 @@ def dispersion_diagnostic(x: float, N_list, seeds) -> list[tuple[int, float]]:
 def hybrid_oracle_mean(N: int) -> float:
     """Reference value for the x = 1 log-average at horizon N.
 
-    Exact DP point probabilities up to n_cut = 2000, then the limiting
-    exp(-gamma)/n tail, summed and normalized by log N.  The tail uses
-    the digamma closed form for the harmonic increment.
+    The exact head, the sum of P(T_n = n) up to n_cut = 2000, is the committed
+    float ``_HEAD`` (test_simulate.py::test_head_is_the_dp_sum recomputes it),
+    so a call makes no DP sweep.  The limiting exp(-gamma)/n tail is the digamma
+    closed form of the harmonic increment; the sum is normalized by log N.
     """
     n_cut = 2000
     if N <= n_cut:
         raise ValueError(f"need N > n_cut={n_cut}, got N={N}")
-    kappa = KappaSeq(1, mode="exact-multiple")
-    head = float(point_prob_scan(kappa, n_cut).sum())
     tail = math.exp(-EULER_GAMMA) * (_digamma(N + 1) - _digamma(n_cut + 1))
-    return (head + tail) / math.log(N)
+    return (_HEAD + tail) / math.log(N)
 
 
 def _digamma(x: float) -> float:
@@ -152,8 +160,10 @@ def sample_sum_counts(n: int, draws: int, seed: int) -> np.ndarray:
     """Empirical counts of T_n over independent draws, for MC/DP comparison.
 
     Returns an array c with c[v] = #{draws with T_n = v}, one weight at a
-    time so memory stays at O(draws).
+    time so memory stays at O(draws).  Needs n >= 1.
     """
+    if n < 1:
+        raise ValueError(f"need n >= 1, got n={n}")
     rng = np.random.Generator(_rng(seed, 0))
     T = np.full(draws, 1, dtype=np.int64)  # Z_1 is deterministic
     for k in range(2, n + 1):

@@ -250,6 +250,21 @@ def test_regenerate_of_one_cell_is_a_usage_error(tmp_path, capsys):
     assert path.read_bytes() == before
 
 
+@pytest.mark.parametrize("argv", [
+    ("stimabase", "--x", "2"),  # stimabase is calibrated at x = 1 only
+    ("stimabase", "--m", "2", "--n", "9"),  # a cell off the grid
+    ("cov-audit", "--regime", "far", "--x", "3"),  # COV_X is (1, 2)
+    ("cov-audit", "--regime", "far", "--kappa-mode", "round"),
+], ids=["stimabase-x2", "stimabase-cell", "cov-far-x3", "cov-far-round"])
+def test_check_outside_the_calibrated_cells_is_a_usage_error(tmp_path, capsys, argv):
+    path = _golden_copy(tmp_path)
+    before = path.read_bytes()
+    with pytest.raises(SystemExit) as exc:
+        main([*argv, "--golden", "check", "--golden-file", str(path)])
+    assert exc.value.code == 2 and capsys.readouterr().out == ""
+    assert path.read_bytes() == before
+
+
 def test_a_run_that_exits_2_leaves_the_golden_file_as_it_was(tmp_path, capsys):
     path = _golden_copy(tmp_path)
     golden = json.loads(path.read_text())

@@ -3,7 +3,11 @@ from fractions import Fraction
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
+from dickmanlab import exact_dist
+from dickmanlab.dickman import EULER_GAMMA
 from dickmanlab.exact_dist import KappaSeq, pmf, point_prob_scan, prob_at
 from dickmanlab import simulate as sim
 
@@ -97,6 +101,73 @@ def test_walk_draws_another_word_until_the_gap_is_settled(monkeypatch, words):
     assert bits.drawn == 3
 
 
+def _reference_walk(kappas, marks, seed, stream):
+    """The jump walk as first written, one kappa.first pair per stretch and kappa."""
+    bits = sim._rng(seed, stream)
+    hits = [[0] * len(marks) for _ in kappas]
+    k = T = 1
+    while k <= max(marks):
+        a = b = 0
+        while not (a and (k << b) // a == (k << b) // (a + 1)):
+            a, b = (a << 64) | bits.random_raw(), b + 64
+        j = (k << b) // a + 1
+        for row, kappa in zip(hits, kappas):
+            lo, hi = max(k, kappa.first(T)), min(j, kappa.first(T + 1))
+            for m, mark in enumerate(marks):
+                row[m] += max(0, min(hi, mark + 1) - lo)
+        k, T = j, T + j
+    return hits
+
+
+class CountedBits:
+    """A stream's words, counted as ScriptedBits counts them."""
+
+    def __init__(self, bits):
+        self.bits = bits
+        self.drawn = 0
+
+    def random_raw(self):
+        self.drawn += 1
+        return self.bits.random_raw()
+
+
+def _counted(walk, kappas, marks, seed, stream):
+    """(hits, words drawn) of one walk, its stream read through sim._rng."""
+    streams = []
+    rng = sim._rng
+
+    def counting_rng(seed, stream):
+        streams.append(CountedBits(rng(seed, stream)))
+        return streams[-1]
+
+    with pytest.MonkeyPatch.context() as mp:
+        mp.setattr(sim, "_rng", counting_rng)
+        hits = walk(kappas, marks, seed, stream)
+    return hits, sum(b.drawn for b in streams)
+
+
+_SLOPES = st.one_of(st.builds(Fraction, st.integers(1, 50), st.integers(1, 50)),
+                    st.sampled_from([1.775, 1.2345678901234567]))
+_KAPPAS = st.one_of(st.builds(KappaSeq, _SLOPES, st.sampled_from(["floor", "round"])),
+                    st.builds(KappaSeq, st.integers(1, 50), st.just("exact-multiple")))
+
+
+@settings(max_examples=100, deadline=None)
+@given(kappas=st.lists(_KAPPAS, min_size=1, max_size=3),
+       marks=st.lists(st.integers(1, 10**7), min_size=1, max_size=4).map(sorted),
+       seed=st.integers(0, 2**32 - 1), stream=st.integers(0, 2**16))
+def test_walk_is_the_reference_walk_word_for_word(kappas, marks, seed, stream):
+    assert (_counted(sim._walk, kappas, marks, seed, stream)
+            == _counted(_reference_walk, kappas, marks, seed, stream))
+
+
+def test_walk_rejects_a_non_integer_exact_multiple():
+    kappa = KappaSeq(Fraction(3, 2), mode="exact-multiple")
+    for walk in (sim._walk, _reference_walk):
+        with pytest.raises(ValueError):
+            walk([KAPPA1, kappa], [1000], 1, 0)
+
+
 def test_estimate_gamma_near_truth():
     gamma_est, mean = sim.estimate_gamma(10**6, SEEDS)
     oracle = sim.hybrid_oracle_mean(10**6)
@@ -137,6 +208,31 @@ def test_harmonic_tail_matches_mpmath(n_cut, N, want):
     assert abs(tail - want) <= 1e-14 * want
 
 
+def test_head_is_the_dp_sum():
+    assert sim._HEAD == float(point_prob_scan(KAPPA1, 2000).sum())
+
+
+@pytest.mark.parametrize("N", [2001, 10**6, 10**18])
+def test_hybrid_oracle_mean_is_the_head_sweep_formula(N):
+    # hybrid_oracle_mean with its head swept by the DP on each call.
+    head = float(point_prob_scan(KAPPA1, 2000).sum())
+    tail = math.exp(-EULER_GAMMA) * (sim._digamma(N + 1) - sim._digamma(2000 + 1))
+    assert sim.hybrid_oracle_mean(N) == (head + tail) / math.log(N)
+
+
+def test_monte_carlo_layer_makes_no_dp_sweep(monkeypatch):
+    def no_sweep(*args, **kwargs):
+        raise AssertionError("a Monte Carlo call swept the DP")
+
+    monkeypatch.setattr(exact_dist, "_steps", no_sweep)
+    with pytest.raises(AssertionError):  # the guard is live
+        point_prob_scan(KAPPA1, 10)
+    sim.hybrid_oracle_mean(10**6)
+    sim.estimate_gamma(10**5, SEEDS[:2])
+    sim.estimate_rho(1.7, 10**5, SEEDS[:2])
+    sim.dispersion_diagnostic(1.7, [10**3, 10**5], SEEDS[:2])
+
+
 def test_hybrid_oracle_shape():
     v = sim.hybrid_oracle_mean(10**6)
     assert 0.5 < v < 0.7
@@ -162,6 +258,13 @@ def test_mc_matches_dp_at_fixed_n():
         p = probs[v]
         sd = math.sqrt(draws * p * (1 - p))
         assert abs(counts[v] - draws * p) < 4 * sd
+
+
+def test_sample_sum_counts_needs_a_nonempty_sum():
+    assert sim.sample_sum_counts(1, 5, 1).tolist() == [0, 5]  # T_1 = 1
+    for n in (0, -3):
+        with pytest.raises(ValueError):
+            sim.sample_sum_counts(n, 5, 1)
 
 
 def test_empirical_hit_frequency_matches_prob():
