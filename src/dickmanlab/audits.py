@@ -4,14 +4,15 @@ Every left-hand side here comes from the exact DP distributions, never
 from simulation.  Each audit reports AuditRow records (identifiers, lhs,
 envelope, ratio).  AUDITS holds one record per golden constant: its
 default grid from config, how it plans its rows and the solver for the
-smallest constant making the bound hold there.  run_calibration and the
-CLI's golden gate both go through it.
+smallest constant making the bound hold there.  ``calibrate`` reads the
+rows and constants of any set of them; run_calibration and the CLI's
+golden gate both go through it.
 
 Audits plan, then read.  An audit's plan validates its cells and states
 every DP law its rows read as an (m, n, cap) request; one ``_laws`` sweep
 builds the book {(m, n, cap): law}, and the plan's reader takes its rows
-from it.  run_calibration builds one book for every audit and slope at
-once; otherwise ``Audit.rows`` builds a book of its own, and each one-cell
+from it.  ``calibrate`` builds one book for its audits at all their
+slopes; otherwise ``Audit.rows`` builds a book of its own, and each one-cell
 function (``stimabase_check``, ``w2_check``, ``covariance_audit``,
 ``gamma_kernel_sup``) is its entry's rows on one cell.
 """
@@ -53,12 +54,11 @@ class AuditRow:
     kappa_n: int
     lhs: float
     envelope: float
-    ratio: float = field(default=float("nan"))
+    ratio: float = field(init=False)
 
     def __post_init__(self):
-        if math.isnan(self.ratio):
-            r = self.lhs / self.envelope if self.envelope > 0 else float("inf")
-            object.__setattr__(self, "ratio", r)
+        r = self.lhs / self.envelope if self.envelope > 0 else float("inf")
+        object.__setattr__(self, "ratio", r)
 
 
 def llt_table(kappa: KappaSeq, n_list, table: RhoTable) -> list[AuditRow]:
@@ -192,9 +192,9 @@ def lemmino_check(kappa: KappaSeq, eps: float, m: int, n: int) -> bool:
     return not reach >> d & 1
 
 
-def cov_near_pairs(x: float, eps: float) -> list[tuple[int, int]]:
-    """Near-diagonal (m, n) pairs with m < n <= sigma*m on the configured m grid."""
-    sigma = sigma_band(x, eps)
+def cov_near_pairs(x: float) -> list[tuple[int, int]]:
+    """Pairs m < n <= sigma*m on the configured m grid, sigma = sigma_band(x, COV_EPS)."""
+    sigma = sigma_band(x, config.COV_EPS)
     pairs = []
     for m in config.COV_M:
         n = math.floor(sigma * m)
@@ -339,27 +339,40 @@ AUDITS: dict[str, Audit] = {a.key: a for a in (
     Audit("w2", lambda x: config.W2_PAIRS, _w2_plan, _solve_w2),
     Audit("gamma_kernel", lambda x: config.stimabase_pairs(), _gamma_kernel_plan, _max_ratio),
     _cov_audit("diag", lambda x: config.cov_diag_pairs()),
-    _cov_audit("near", lambda x: cov_near_pairs(x, config.COV_EPS)),
+    _cov_audit("near", cov_near_pairs),
     _cov_audit("far", lambda x: config.cov_far_pairs()),
 )}
 
 
-def run_calibration(table: RhoTable) -> dict[str, float]:
-    """Smallest constants making every audited bound hold on the grids.
+def calibrate(audits, table: RhoTable | None) -> dict[str, tuple[float, dict]]:
+    """{key: (constant, {slope: rows})} for each audit, all read from one book.
 
-    Plan, then read: every audit plans its grid at each of its slopes, one
-    ``_laws`` sweep builds the book of the union of their requests, and
-    each audit reads its rows from that book.  A law does not depend on
-    the slope, and the grids share their block starts, so one sweep serves
-    every audit; its top falls as the sweep passes the last read of the
-    widest laws (``keep`` in ``_steps``).  Every row is the one its audit
-    computes alone, bit for bit.
+    Every audit plans its grid at each of its slopes, and one ``_laws``
+    sweep builds the book of the union of their requests.  A law does not
+    depend on the slope, and the grids share their block starts, so one
+    sweep serves them all; its top falls past the last read of the widest
+    laws (``keep`` in ``_steps``).  Every row is the one its audit computes
+    alone, bit for bit; the constant is the largest solve over the slopes.
     """
-    plans = {(audit.key, x): audit.plan(audit.pairs(x), KappaSeq(x), table)
-             for audit in AUDITS.values() for x in audit.slopes}
+    plans = {(a.key, x): a.plan(a.pairs(x), KappaSeq(x), table) for a in audits for x in a.slopes}
     book = _laws(r for requests, _ in plans.values() for r in requests)
-    return {audit.key: max(audit.solve(plans[audit.key, x][1](book)) for x in audit.slopes)
-            for audit in AUDITS.values()}
+    rows = {a.key: {x: plans[a.key, x][1](book) for x in a.slopes} for a in audits}
+    return {a.key: (max(map(a.solve, rows[a.key].values())), rows[a.key]) for a in audits}
+
+
+def run_calibration(table: RhoTable) -> dict[str, float]:
+    """Smallest constants making every audited bound hold on the grids: one sweep."""
+    return {key: c for key, (c, _) in calibrate(AUDITS.values(), table).items()}
+
+
+def record_golden(name: str, constant: float, path=None) -> None:
+    """Store one constant with the current grid hash; other entries stay as stored."""
+    try:
+        stored = config.load_golden(path)
+    except FileNotFoundError:
+        stored = {}
+    stored[name] = {"constant": float(constant), "grid_hash": config.grid_hash()}
+    config.save_golden(stored, path)
 
 
 def check_golden(computed: dict[str, float], golden: dict) -> list[str]:

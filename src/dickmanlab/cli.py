@@ -85,32 +85,6 @@ def _table(args):
     return build_rho_table(x_max=args.xmax, step=args.step)
 
 
-def _golden_gate(args, name: str, rows, table) -> int:
-    """Check the constant of these rows against the golden record, or regenerate it.
-
-    The record is ``--golden-file``, or the packaged file when it is unset.
-    Regenerate stores run_calibration's constant, from the full grids
-    whatever the rows, on this table or else the default one.
-    """
-    if args.golden == "off":
-        return EXIT_OK
-    path = args.golden_file
-    if args.golden == "regenerate":
-        constant = audits.run_calibration(table or build_rho_table())[name]
-        try:
-            stored = config.load_golden(path)
-        except FileNotFoundError:
-            stored = {}
-        stored[name] = {"constant": float(constant), "grid_hash": config.grid_hash()}
-        config.save_golden(stored, path)
-        return EXIT_OK
-    constant = audits.AUDITS[name].solve(rows)
-    problems = audits.check_golden({name: constant}, config.load_golden(path))
-    for p in problems:
-        print(f"golden regression: {p}", file=sys.stderr)
-    return EXIT_REGRESSION if problems else EXIT_OK
-
-
 # ---------------------------------------------------------------- subcommands
 
 def cmd_rho(args) -> int:
@@ -141,24 +115,36 @@ def _audit(args) -> audits.Audit:
 def cmd_audit(args) -> int:
     """stimabase, w2 and cov-audit: one registry audit's rows and golden gate.
 
-    The rows come from the audit's plan and one book of its laws, the same
-    path run_calibration takes for every audit at once.
+    Without ``--golden`` the rows are the audit's on the cells asked for.
+    With it, one ``calibrate`` of this audit gives the rows at ``--x`` and
+    the constant over all its slopes, which check and regenerate both gate
+    in ``--golden-file``, or in the packaged file when it is unset.
     """
     audit = _audit(args)
     x = getattr(args, "x", 1.0)
-    kappa = _kappa(x, getattr(args, "kappa_mode", None))
-    pairs = [(args.m, args.n)] if args.m is not None else audit.pairs(x)
     table = _table(args) if hasattr(args, "xmax") else None  # only w2 reads it
-    rows = audit.rows(pairs, kappa, table)
+    if args.golden == "off":
+        pairs = [(args.m, args.n)] if args.m is not None else audit.pairs(x)
+        rows = audit.rows(pairs, _kappa(x, getattr(args, "kappa_mode", None)), table)
+    else:
+        constant, rows_at = audits.calibrate([audit], table)[audit.key]
+        rows = rows_at[x]
     if not rows:
         raise ValueError(f"no {audit.key} grid cells at x={x}")
     text = _report(args, [f.name for f in fields(audits.AuditRow)], [astuple(r) for r in rows])
+    problems = []
     # The output opens before the gate and is written after it, so a run
     # that exits 2 leaves the golden file as it was, or prints nothing.
     with _output(args) as out:
-        code = _golden_gate(args, audit.key, rows, table)
+        if args.golden == "regenerate":
+            audits.record_golden(audit.key, constant, args.golden_file)
+        elif args.golden == "check":
+            golden = config.load_golden(args.golden_file)
+            problems = audits.check_golden({audit.key: constant}, golden)
         out.write(text)
-    return code
+    for p in problems:
+        print(f"golden regression: {p}", file=sys.stderr)
+    return EXIT_REGRESSION if problems else EXIT_OK
 
 
 def cmd_zs(args) -> int:
@@ -324,12 +310,10 @@ def main(argv=None) -> int:
     args = ap.parse_args(argv)
     if args.func is cmd_audit and (args.m is None) != (args.n is None):
         ap.error("--m requires --n" if args.n is None else "--n requires --m")
-    if args.func is cmd_audit and args.m is not None and args.golden != "off":
-        ap.error(f"--golden {args.golden} reads the full grids' constant: drop --m and --n")
-    if args.func is cmd_audit and args.golden == "check" and (
-            getattr(args, "x", 1.0) not in _audit(args).slopes
+    if args.func is cmd_audit and args.golden != "off" and (
+            args.m is not None or getattr(args, "x", 1.0) not in _audit(args).slopes
             or getattr(args, "kappa_mode", None) not in (None, "floor")):
-        ap.error(f"--golden check covers x in {_audit(args).slopes} with floor kappa only")
+        ap.error(f"--golden needs the default grid, floor kappa and x in {_audit(args).slopes}")
     golden_file = getattr(args, "golden_file", None)
     if golden_file and args.golden == "check" and not os.path.isfile(golden_file):
         ap.error(f"--golden-file {golden_file} is not a file")

@@ -171,7 +171,7 @@ def test_criterion_11_covariance_regimes():
         kx = KappaSeq(x, mode="exact-multiple")
         diag = max(diag, *(r.ratio for r in audits.covariance_audit(
             kx, config.cov_diag_pairs(), regime="diag")))
-        pairs = audits.cov_near_pairs(x, config.COV_EPS)
+        pairs = audits.cov_near_pairs(x)
         if pairs:
             near = max(near, *(r.ratio for r in audits.covariance_audit(
                 kx, pairs, regime="near")))

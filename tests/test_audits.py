@@ -19,6 +19,8 @@ def test_audit_row_ratio():
     assert r.ratio == 0.25
     r = audits.AuditRow("t", 2, 4, 1.0, 2, 4, lhs=1.0, envelope=0.0)
     assert r.ratio == float("inf")
+    with pytest.raises(TypeError):  # the ratio is derived, never passed
+        audits.AuditRow("t", 2, 4, 1.0, 2, 4, lhs=1.0, envelope=4.0, ratio=0.5)
 
 
 def test_llt_table_small_n(table):
@@ -252,6 +254,16 @@ def test_calibration_constants_are_bit_for_bit_frozen(table):
         "cov_near": "0.5",
         "cov_far": "0.050056249336760505",
     }
+
+
+@pytest.mark.parametrize("key", sorted(audits.AUDITS))
+def test_calibrate_of_one_audit_is_its_calibration_and_its_own_rows(key, table):
+    audit = audits.AUDITS[key]
+    constant, rows = audits.calibrate([audit], table)[key]
+    assert repr(constant) == repr(audits.run_calibration(table)[key])
+    assert list(rows) == list(audit.slopes)
+    for x, got in rows.items():
+        assert repr(got) == repr(audit.rows(audit.pairs(x), KappaSeq(x), table)), x
 
 
 def test_gamma_kernel_series_per_m_is_the_one_pair_sup():

@@ -11,7 +11,7 @@ from pathlib import Path
 import pytest
 
 import dickmanlab
-from dickmanlab import audits, config
+from dickmanlab import audits, cli, config, exact_dist
 from dickmanlab.cli import main
 
 DIGESTS = Path(__file__).resolve().parents[1] / "perfbench" / "cli_digests.json"
@@ -235,7 +235,7 @@ def test_regenerate_stores_the_full_grid_constant(tmp_path, capsys, table):
     code, _ = run(capsys, "cov-audit", "--regime", "far", "--golden", "check",
                   "--golden-file", str(path))
     assert code == 0
-    for argv, name in ((("stimabase", "--x", "2"), "stimabase"), (("w2",), "w2")):
+    for argv, name in ((("stimabase",), "stimabase"), (("w2",), "w2")):
         code, _ = run(capsys, *argv, "--golden", "regenerate", "--golden-file", str(path))
         assert code == 0 and json.loads(path.read_text())[name]["constant"] == constants[name]
 
@@ -250,19 +250,68 @@ def test_regenerate_of_one_cell_is_a_usage_error(tmp_path, capsys):
     assert path.read_bytes() == before
 
 
-@pytest.mark.parametrize("argv", [
-    ("stimabase", "--x", "2"),  # stimabase is calibrated at x = 1 only
-    ("stimabase", "--m", "2", "--n", "9"),  # a cell off the grid
-    ("cov-audit", "--regime", "far", "--x", "3"),  # COV_X is (1, 2)
-    ("cov-audit", "--regime", "far", "--kappa-mode", "round"),
-], ids=["stimabase-x2", "stimabase-cell", "cov-far-x3", "cov-far-round"])
-def test_check_outside_the_calibrated_cells_is_a_usage_error(tmp_path, capsys, argv):
+UNCALIBRATED = {
+    "stimabase-x2": ("stimabase", "--x", "2"),  # stimabase is calibrated at x = 1 only
+    "stimabase-cell": ("stimabase", "--m", "2", "--n", "9"),  # a cell off the grid
+    "cov-far-x3": ("cov-audit", "--regime", "far", "--x", "3"),  # COV_X is (1, 2)
+    "cov-far-round": ("cov-audit", "--regime", "far", "--kappa-mode", "round"),
+}
+
+
+# One rule for both modes: each gates the constant of the default grid at
+# the audit's slopes with floor kappa, so no other cells may come with it.
+@pytest.mark.parametrize("mode, argv", [
+    *(pytest.param("check", argv, id=name) for name, argv in UNCALIBRATED.items()),
+    *(pytest.param("regenerate", argv, id=f"{name}-regenerate")
+      for name, argv in UNCALIBRATED.items()),
+])
+def test_check_outside_the_calibrated_cells_is_a_usage_error(tmp_path, capsys, mode, argv):
     path = _golden_copy(tmp_path)
     before = path.read_bytes()
     with pytest.raises(SystemExit) as exc:
-        main([*argv, "--golden", "check", "--golden-file", str(path)])
+        main([*argv, "--golden", mode, "--golden-file", str(path)])
     assert exc.value.code == 2 and capsys.readouterr().out == ""
     assert path.read_bytes() == before
+
+
+def test_check_gates_the_constant_of_every_slope(tmp_path, capsys):
+    # The x = 2 rows alone solve to 0.0227; the cov_far constant is 0.0500562 at x = 1.
+    path = _golden_copy(tmp_path)
+    golden = json.loads(path.read_text())
+    golden["cov_far"]["constant"] = 0.03
+    path.write_text(json.dumps(golden))
+    code = main(["cov-audit", "--regime", "far", "--x", "2", "--golden", "check",
+                 "--golden-file", str(path)])
+    out, err = capsys.readouterr()
+    assert code == 1 and out.splitlines()[1].split(",")[3] == "2"
+    assert "cov_far: constant grew 0.03 -> 0.0500562" in err
+
+
+@pytest.mark.parametrize("argv, tables", [
+    (("cov-audit", "--regime", "far"), 0),
+    (("stimabase",), 0),
+    (("w2",), 1),
+], ids=["cov-far", "stimabase", "w2"])
+def test_regenerate_costs_one_sweep_of_its_own_audit(tmp_path, monkeypatch, capsys, argv, tables):
+    sweeps, built = [], []
+    steps, build = exact_dist._steps, cli.build_rho_table
+    monkeypatch.setattr(exact_dist, "_steps", lambda *a, **k: sweeps.append(a) or steps(*a, **k))
+    monkeypatch.setattr(cli, "build_rho_table", lambda **k: built.append(k) or build(**k))
+    code, _ = run(capsys, *argv, "--golden", "regenerate",
+                  "--golden-file", str(tmp_path / "g.json"))
+    assert code == 0 and len(sweeps) == 1 and len(built) == tables
+
+
+def test_import_loads_only_the_core_modules():
+    # A bare ``import dickmanlab`` pays for these modules alone, so start-up
+    # does not grow with the CLI, the audits or the spectral layer.
+    env = dict(os.environ, PYTHONPATH=str(Path(dickmanlab.__file__).parents[1]))
+    probe = ("import dickmanlab, sys; "
+             "print(sorted(m for m in sys.modules if m.split('.')[0] == 'dickmanlab'))")
+    out = subprocess.run([sys.executable, "-c", probe], env=env, check=True,
+                         capture_output=True, text=True).stdout
+    assert out.strip() == str(["dickmanlab", "dickmanlab.dickman", "dickmanlab.exact_dist",
+                               "dickmanlab.simulate"])
 
 
 def test_a_run_that_exits_2_leaves_the_golden_file_as_it_was(tmp_path, capsys):
