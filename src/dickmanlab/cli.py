@@ -6,7 +6,8 @@ codes: 0 success, 1 audit regression or failed audit, 2 usage error, an
 unwritable file or a law too large for memory, each reported as one
 ``error:`` line with nothing on stdout and the golden file unchanged.
 Reports contain no timestamps, so a fixed config yields byte-identical
-output.
+output.  Each subcommand imports the numeric modules it uses when it
+runs, so ``--help``, a usage error and ``cumulants`` never load numpy.
 """
 from __future__ import annotations
 
@@ -16,12 +17,8 @@ import json
 import math
 import os
 import sys
-from dataclasses import astuple, fields
 
-from . import audits, config, simulate
-from .cumulants import a_coeff, cumulant_explicit
-from .dickman import build_rho_table, dickman_cdf, dickman_density, rho
-from .exact_dist import KappaSeq, pmf, power_sum_scan
+from . import config
 
 EXIT_OK = 0
 EXIT_REGRESSION = 1
@@ -74,7 +71,9 @@ def _int_list(text: str) -> list[int]:
         raise argparse.ArgumentTypeError(f"bad integer list {text!r}") from exc
 
 
-def _kappa(x: float, mode: str | None) -> KappaSeq:
+def _kappa(x: float, mode: str | None):
+    from .exact_dist import KappaSeq
+
     if x < 1.0:
         print(f"warning: x={x} < 1, kappa need not be strictly increasing",
               file=sys.stderr)
@@ -82,12 +81,16 @@ def _kappa(x: float, mode: str | None) -> KappaSeq:
 
 
 def _table(args):
-    return build_rho_table(x_max=args.xmax, step=args.step)
+    from . import dickman
+
+    return dickman.build_rho_table(x_max=args.xmax, step=args.step)
 
 
 # ---------------------------------------------------------------- subcommands
 
 def cmd_rho(args) -> int:
+    from .dickman import dickman_cdf, dickman_density, rho
+
     table = _table(args)
     rows = [(x, rho(table, x), dickman_density(table, x), dickman_cdf(table, x))
             for x in args.x]
@@ -95,12 +98,16 @@ def cmd_rho(args) -> int:
 
 
 def cmd_pmf(args) -> int:
+    from .exact_dist import pmf
+
     dist = pmf(args.m, args.n, mode=args.mode)
     rows = [(v, float(p)) for v, p in enumerate(dist.probs) if p != 0]
     return _emit(args, ("value", "probability"), rows)
 
 
 def cmd_llt_table(args) -> int:
+    from . import audits
+
     table = _table(args)
     kappa = _kappa(args.x, args.kappa_mode)
     rows = audits.llt_table(kappa, args.n, table)
@@ -108,7 +115,9 @@ def cmd_llt_table(args) -> int:
     return _emit(args, ("n", "n_times_prob", "target", "abs_error"), out)
 
 
-def _audit(args) -> audits.Audit:
+def _audit(args):
+    from . import audits
+
     return audits.AUDITS[f"cov_{args.regime}" if args.command == "cov-audit" else args.command]
 
 
@@ -120,6 +129,10 @@ def cmd_audit(args) -> int:
     the constant over all its slopes, which check and regenerate both gate
     in ``--golden-file``, or in the packaged file when it is unset.
     """
+    from dataclasses import astuple, fields
+
+    from . import audits
+
     audit = _audit(args)
     x = getattr(args, "x", 1.0)
     table = _table(args) if hasattr(args, "xmax") else None  # only w2 reads it
@@ -148,6 +161,9 @@ def cmd_audit(args) -> int:
 
 
 def cmd_zs(args) -> int:
+    from . import audits
+    from .exact_dist import power_sum_scan
+
     table = _table(args)
     powers = power_sum_scan(args.n)
     rows = [audits.zs_check(n, table, power=powers[n]) for n in sorted(powers)]
@@ -156,6 +172,8 @@ def cmd_zs(args) -> int:
 
 
 def cmd_lemmino(args) -> int:
+    from . import audits
+
     kappa = _kappa(args.x, args.kappa_mode)
     ok = audits.lemmino_check(kappa, args.eps, args.m, args.n)
     _emit(args, ("m", "n", "x", "eps", "zero_probability"),
@@ -164,6 +182,8 @@ def cmd_lemmino(args) -> int:
 
 
 def cmd_cumulants(args) -> int:
+    from .cumulants import a_coeff, cumulant_explicit
+
     poly = cumulant_explicit(args.n)
     rows = [("coeff", args.n, i, str(c)) for i, c in enumerate(poly.coeffs)]
     rows += [("a", args.n, k, str(a_coeff(k, args.n))) for k in range(args.n + 1)]
@@ -175,6 +195,8 @@ def _seeds(args) -> list[int]:
 
 
 def cmd_aslt(args) -> int:
+    from . import simulate
+
     kappa = _kappa(args.x, args.kappa_mode)
     paths = simulate.simulate_paths(kappa, args.N, _seeds(args))
     rows = [(i, p.seed, p.N, p.hits, p.log_avg) for i, p in enumerate(paths)]
@@ -182,17 +204,23 @@ def cmd_aslt(args) -> int:
 
 
 def cmd_estimate_gamma(args) -> int:
+    from . import simulate
+
     gamma_est, raw_mean = simulate.estimate_gamma(args.N, _seeds(args))
     return _emit(args, ("N", "paths", "gamma_estimate", "mean_log_avg"),
                  [(args.N, args.paths, gamma_est, raw_mean)])
 
 
 def cmd_estimate_rho(args) -> int:
+    from . import simulate
+
     est = simulate.estimate_rho(args.x, args.N, _seeds(args))
     return _emit(args, ("x", "N", "paths", "rho_estimate"), [(args.x, args.N, args.paths, est)])
 
 
 def cmd_dispersion(args) -> int:
+    from . import simulate
+
     rows = simulate.dispersion_diagnostic(args.x, args.N, _seeds(args))
     return _emit(args, ("N", "std_log_avg"), rows)
 

@@ -7,9 +7,7 @@ and the golden file must be regenerated explicitly.
 """
 from __future__ import annotations
 
-import hashlib
 import json
-from importlib import resources
 from pathlib import Path
 
 GRID_VERSION = 1
@@ -84,11 +82,15 @@ def grid_descriptor() -> dict:
 
 
 def grid_hash() -> str:
+    import hashlib
+
     blob = json.dumps(grid_descriptor(), sort_keys=True, separators=(",", ":"))
     return hashlib.sha256(blob.encode()).hexdigest()[:16]
 
 
 def golden_path():
+    from importlib import resources
+
     return resources.files("dickmanlab") / "golden" / "constants.json"
 
 

@@ -8,6 +8,7 @@ identity for integer-supported laws.
 from __future__ import annotations
 
 import cmath
+import functools
 import math
 from dataclasses import dataclass
 
@@ -17,10 +18,18 @@ from .cumulants import alpha_j
 from .dickman import EULER_GAMMA, RhoTable, rho_sq_integral
 from .exact_dist import KappaSeq, Pmf, power_sum
 
-# phi_dickman's 20-node rule mapped to [0, 1]; _PHI_T_MAX keeps panels < 2^12.
-_GL_X, _GL_W = np.polynomial.legendre.leggauss(20)
-_GL_U, _GL_W = (_GL_X + 1.0) / 2.0, _GL_W / 2.0
+# _PHI_T_MAX keeps phi_dickman's panels < 2^12.
 _PHI_T_MAX = 1e4
+
+
+@functools.cache
+def _gl_rule() -> tuple[np.ndarray, np.ndarray]:
+    """phi_dickman's 20-node Gauss-Legendre rule mapped to [0, 1]: (nodes, weights).
+
+    Built on first use, so importing this module does not load numpy.polynomial.
+    """
+    x, w = np.polynomial.legendre.leggauss(20)
+    return (x + 1.0) / 2.0, w / 2.0
 
 
 def phi_T(m: int, n: int, t) -> complex | np.ndarray:
@@ -51,16 +60,17 @@ def phi_dickman(t: float) -> complex:
     if not abs(t) <= _PHI_T_MAX:
         raise ValueError(f"need finite |t| <= {_PHI_T_MAX:g}, got {t!r}")
     a = abs(t)
+    gl_u, gl_w = _gl_rule()
     panels = max(1, math.ceil(a / 3.0))
     k = np.arange(panels)[:, None]
     half = 0.5 * a / panels
     # tu/2 = (k + x)*half at node x of panel k.  half_hi has 20 fractional
     # bits, so k*half_hi is exact; rounding k*half costs up to 3e-14 at 1e4.
     half_hi = round(half * 2**20) / 2**20
-    z = np.exp(1j * half_hi * k) * np.exp(1j * ((half - half_hi) * k + half * _GL_U))
+    z = np.exp(1j * half_hi * k) * np.exp(1j * ((half - half_hi) * k + half * gl_u))
     # du/u = dx/(k + x) on panel k
-    re = -2.0 * float(np.sum(_GL_W * z.imag**2 / (k + _GL_U)))
-    im = float(np.sum(_GL_W * (z * z).imag / (k + _GL_U)))
+    re = -2.0 * float(np.sum(gl_w * z.imag**2 / (k + gl_u)))
+    im = float(np.sum(gl_w * (z * z).imag / (k + gl_u)))
     v = cmath.exp(complex(re, im))
     return v if t >= 0 else v.conjugate()
 

@@ -11,7 +11,7 @@ from pathlib import Path
 import pytest
 
 import dickmanlab
-from dickmanlab import audits, cli, config, exact_dist
+from dickmanlab import audits, config, dickman, exact_dist, simulate
 from dickmanlab.cli import main
 
 DIGESTS = Path(__file__).resolve().parents[1] / "perfbench" / "cli_digests.json"
@@ -294,24 +294,85 @@ def test_check_gates_the_constant_of_every_slope(tmp_path, capsys):
 ], ids=["cov-far", "stimabase", "w2"])
 def test_regenerate_costs_one_sweep_of_its_own_audit(tmp_path, monkeypatch, capsys, argv, tables):
     sweeps, built = [], []
-    steps, build = exact_dist._steps, cli.build_rho_table
+    steps, build = exact_dist._steps, dickman.build_rho_table
     monkeypatch.setattr(exact_dist, "_steps", lambda *a, **k: sweeps.append(a) or steps(*a, **k))
-    monkeypatch.setattr(cli, "build_rho_table", lambda **k: built.append(k) or build(**k))
+    monkeypatch.setattr(dickman, "build_rho_table", lambda **k: built.append(k) or build(**k))
     code, _ = run(capsys, *argv, "--golden", "regenerate",
                   "--golden-file", str(tmp_path / "g.json"))
     assert code == 0 and len(sweeps) == 1 and len(built) == tables
 
 
-def test_import_loads_only_the_core_modules():
-    # A bare ``import dickmanlab`` pays for these modules alone, so start-up
-    # does not grow with the CLI, the audits or the spectral layer.
+def _probe(code: str, *argv: str) -> list[str]:
     env = dict(os.environ, PYTHONPATH=str(Path(dickmanlab.__file__).parents[1]))
-    probe = ("import dickmanlab, sys; "
-             "print(sorted(m for m in sys.modules if m.split('.')[0] == 'dickmanlab'))")
-    out = subprocess.run([sys.executable, "-c", probe], env=env, check=True,
-                         capture_output=True, text=True).stdout
-    assert out.strip() == str(["dickmanlab", "dickmanlab.dickman", "dickmanlab.exact_dist",
-                               "dickmanlab.simulate"])
+    return subprocess.run([sys.executable, "-c", code, *argv], env=env, check=True,
+                          capture_output=True, text=True).stdout.splitlines()
+
+
+LOADED = ("print(sorted(m for m in sys.modules if m.split('.')[0] == 'dickmanlab'), "
+          "'numpy' in sys.modules)")
+
+
+def test_import_loads_only_the_core_modules():
+    # A bare ``import dickmanlab`` loads no numeric module: its exports
+    # resolve on first access.
+    assert _probe("import dickmanlab, sys; " + LOADED) == [str(["dickmanlab"]) + " False"]
+
+
+def test_cli_import_loads_only_cli_and_config():
+    assert _probe("import dickmanlab.cli, sys; " + LOADED) == [
+        str(["dickmanlab", "dickmanlab.cli", "dickmanlab.config"]) + " False"]
+
+
+# Run one command as ``python -m dickmanlab.cli`` would, then print its exit
+# code, the sha256 of its stdout and whether numpy was loaded.
+RUN_CLI = """
+import contextlib, hashlib, io, sys
+from dickmanlab import cli
+out = io.StringIO()
+with contextlib.redirect_stdout(out), contextlib.redirect_stderr(io.StringIO()):
+    try:
+        code = cli.main(sys.argv[1:])
+    except SystemExit as exc:
+        code = exc.code
+print(code, hashlib.sha256(out.getvalue().encode()).hexdigest(), 'numpy' in sys.modules)
+"""
+
+
+@pytest.mark.parametrize("argv, code", [
+    (("--help",), 0),
+    (("w2", "--n", "50"), 2),  # a usage error
+    (("cumulants", "--n", "6"), 0),
+], ids=["help", "usage-error", "cumulants"])
+def test_commands_that_need_no_numpy_never_load_it(argv, code):
+    got_code, digest, numpy_loaded = _probe(RUN_CLI, *argv)[0].split()
+    assert (int(got_code), numpy_loaded) == (code, "False")
+    if argv[0] == "cumulants":
+        assert digest == json.loads(DIGESTS.read_text())["cumulants --n 6"]
+
+
+# The home of each export, as the package imported them before they were lazy.
+EXPORT_HOMES = {
+    dickman: ("EULER_GAMMA", "DickmanRangeError", "RhoTable", "build_rho_table", "dickman_cdf",
+              "dickman_density", "rho", "rho_integral", "rho_sq_integral"),
+    exact_dist: ("KappaSeq", "Pmf", "cov_Y", "kolmogorov_distance", "pmf", "prob_at"),
+    simulate: ("PathEstimate", "estimate_gamma", "estimate_rho", "simulate_path",
+               "simulate_paths"),
+}
+
+
+def test_every_export_is_its_home_modules_object(monkeypatch):
+    names = [name for homes in EXPORT_HOMES.values() for name in homes]
+    assert sorted(dickmanlab.__all__) == sorted(names)
+    listed = dir(dickmanlab)
+    for home, homes in EXPORT_HOMES.items():
+        for name in homes:
+            assert getattr(dickmanlab, name) is getattr(home, name), name
+            assert name in listed, name
+    with pytest.raises(AttributeError):
+        dickmanlab.no_such_name
+    # Read through at each access, so a patched or traced function shows here too.
+    monkeypatch.setattr(exact_dist, "pmf", lambda m, n: None)
+    assert dickmanlab.pmf is exact_dist.pmf
 
 
 def test_a_run_that_exits_2_leaves_the_golden_file_as_it_was(tmp_path, capsys):
