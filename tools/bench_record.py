@@ -1,13 +1,13 @@
 """Record the benchmark's costs in one BENCH_<n>.json file.
 
-    python3 tools/bench_record.py --out BENCH_23.json [--seeds 5] [--first-seed 1] [--seconds S]
+    python3 tools/bench_record.py --out BENCH_23.json [--seeds K]
 
 Run from the repository root.  The file holds two parts:
 
 - ``workloads``: each workload of BENCHMARK.json run by its command
-  (``perfbench/run.py --trace 0``) once per seed, for ``--seeds``
-  consecutive seeds from ``--first-seed``, ``--seconds`` each (default:
-  BENCHMARK.json's ``run_seconds``).  The workload order rotates by one
+  (``perfbench/run.py --trace 0``) once for each of the seeds 1 to K
+  (``--seeds``, default 5), for BENCHMARK.json's ``run_seconds`` each.
+  The workload order rotates by one
   between seeds, so no workload always runs first.  Per workload: the
   median and interquartile range of each end-to-end metric, and per run
   its command and facts line, with the per-pass times ``pass_s`` cut to
@@ -129,15 +129,13 @@ def main(argv=None) -> int:
     ap = argparse.ArgumentParser(description=__doc__.splitlines()[0])
     ap.add_argument("--out", required=True, help="the BENCH_<n>.json file to write")
     ap.add_argument("--seeds", type=int, default=5, help="runs per workload")
-    ap.add_argument("--first-seed", type=int, default=1)
-    ap.add_argument("--seconds", type=float, default=bench["run_seconds"])
     args = ap.parse_args(argv)
     if args.seeds < 2:
         ap.error("--seeds needs at least 2 runs for an interquartile range")
 
-    seeds = list(range(args.first_seed, args.first_seed + args.seeds))
-    doc = {"seeds": seeds, "seconds": args.seconds,
-           "workloads": record_workloads(bench, seeds, args.seconds), "ledger": ledger()}
+    seeds, seconds = list(range(1, args.seeds + 1)), bench["run_seconds"]
+    doc = {"seeds": seeds, "seconds": seconds,
+           "workloads": record_workloads(bench, seeds, seconds), "ledger": ledger()}
     Path(args.out).write_text(json.dumps(doc, indent=1) + "\n")
     return 0
 
