@@ -14,7 +14,9 @@ builds the book {(m, n, cap): law}, and the plan's reader takes its rows
 from it.  ``calibrate`` builds one book for its audits at all their
 slopes; otherwise ``Audit.rows`` builds a book of its own, and each one-cell
 function (``stimabase_check``, ``w2_check``, ``covariance_audit``,
-``gamma_kernel_sup``) is its entry's rows on one cell.
+``gamma_kernel_sup``) is its entry's rows on one cell.  The f, g and chi
+envelopes of a block (m, n), at constant 1, sit with the w1 and w2 solvers
+that invert them.
 """
 from __future__ import annotations
 
@@ -38,8 +40,7 @@ from .exact_dist import (
     kolmogorov_distance,
     pmf,  # unused here; perfbench's tracer test reads it as audits.pmf
 )
-from .spectral import (Envelope, chi, f_envelope, g_envelope, gamma_grids, l2_cf_limit,
-                       l2_cf_parseval, phi_T, phi_dickman)
+from .spectral import gamma_grids, l2_cf_limit, l2_cf_parseval, phi_T, phi_dickman
 
 
 @dataclass(frozen=True)
@@ -120,16 +121,17 @@ def _w1_plan(pairs, kappa, table):
 
     phi_dickman is evaluated once per t for all pairs.
     """
-    envs = [Envelope(m, n) for m, n in pairs]
+    pairs = list(pairs)
+    for m, n in pairs:
+        _bracket(m, n)  # a bad cell fails here, before any row is read
 
     def read(book) -> list[AuditRow]:
         ts = np.linspace(-config.W1_T_SPAN, config.W1_T_SPAN, config.W1_T_POINTS)
         cf = [phi_dickman(float(t)) for t in ts]
         rows = []
-        for env in envs:
-            m, n = env.m, env.n
+        for m, n in pairs:
             vals = phi_T(m, n, ts / (n - m))
-            rows += [AuditRow("w1", m, n, float(t), 0, 0, abs(v - c), f_envelope(env, t))
+            rows += [AuditRow("w1", m, n, float(t), 0, 0, abs(v - c), f_envelope(m, n, t))
                      for t, v, c in zip(ts, vals, cf)]
         return rows
 
@@ -143,13 +145,12 @@ def w2_check(m: int, n: int, table: RhoTable) -> AuditRow:
 
 def _w2_plan(pairs, kappa, table: RhoTable):
     """w2_check at every pair: each law stops at its ``_kolmogorov_cap``."""
-    envs = [Envelope(m, n) for m, n in pairs]
-    requests = [(e.m, e.n, _kolmogorov_cap(table, e.m, e.n)) for e in envs]
+    envs = [g_envelope(m, n) for m, n in pairs]  # a bad cell fails here, before any sweep
+    requests = [(m, n, _kolmogorov_cap(table, m, n)) for m, n in pairs]
 
     def read(book) -> list[AuditRow]:
         return [AuditRow("w2", m, n, float("nan"), 0, 0,
-                         kolmogorov_distance(Pmf(m, n, book[m, n, cap], "float"), table),
-                         g_envelope(env))
+                         kolmogorov_distance(Pmf(m, n, book[m, n, cap], "float"), table), env)
                 for env, (m, n, cap) in zip(envs, requests)]
 
     return requests, read
@@ -238,12 +239,7 @@ def _cov_plan(regime: str, pairs, kappa: KappaSeq, table):
             elif regime == "near":
                 env = 1.0
             else:
-                env = (
-                    n / (n - m) * chi(Envelope(m, n), kappa, x)
-                    + m / (n - m)
-                    + chi(Envelope(2, n), kappa, x)
-                    + 1.0 / n
-                )
+                env = n / (n - m) * chi(m, n, kappa) + m / (n - m) + chi(2, n, kappa) + 1.0 / n
             rows.append(AuditRow(f"cov-{regime}", m, n, x, kappa(m), kappa(n), c, env))
         return rows
 
@@ -278,7 +274,36 @@ def _gamma_kernel_plan(pairs, kappa, table, u_points: int = 10001):
     return [], read
 
 
-# ----------------------------------------------------------- audit registry
+# ------------------------------------------- bound envelopes and their solvers
+
+def _bracket(m: int, n: int) -> float:
+    """B = log(n/m)/(n-m)^2 + (m+2)/(n-m), the block's scale in the f and g envelopes."""
+    if not (2 <= m < n):
+        raise ValueError(f"need 2 <= m < n, got m={m}, n={n}")
+    return math.log(n / m) / (n - m) ** 2 + (m + 2) / (n - m)
+
+
+def f_envelope(m: int, n: int, t: float) -> float:
+    """exp{t^2 (log(n/m)/(n-m)^2 + (m+2)/(n-m))} - 1, at constant 1."""
+    return math.expm1(t * t * _bracket(m, n))
+
+
+def g_envelope(m: int, n: int) -> float:
+    """exp(B log^2(n/m)) - 1 + 1/log(n/m), at constant 1."""
+    L = math.log(n / m)
+    return math.expm1(_bracket(m, n) * L * L) + 1.0 / L
+
+
+def chi(m: int, n: int, kappa: KappaSeq) -> float:
+    """The chi_{m,n} aggregate controlling the far-regime covariance, x the slope of kappa."""
+    x = kappa.x_float
+    dk = kappa(n) - kappa(m)
+    if dk <= 0:
+        raise ValueError(f"kappa_n - kappa_m = {dk} must be positive")
+    r = (n - m) / dk
+    L = math.log(n / m)
+    return r * L / math.sqrt(n - m) + r * g_envelope(m, n) + x * abs(r - 1.0 / x) + (m + 1) / dk
+
 
 def _max_ratio(rows) -> float:
     """Multiplicative constant: the largest lhs / envelope."""
@@ -286,21 +311,23 @@ def _max_ratio(rows) -> float:
 
 
 def _solve_w1(rows) -> float:
-    """cf-distance envelope: need expm1(C t^2 B) >= lhs, so C >= log1p(lhs)/(t^2 B)."""
-    return max((math.log1p(r.lhs) / (r.x * r.x * Envelope(r.m, r.n)._bracket)
+    """Inverts f: need expm1(C t^2 B) >= lhs, so C >= log1p(lhs)/(t^2 B)."""
+    return max((math.log1p(r.lhs) / (r.x * r.x * _bracket(r.m, r.n))
                 for r in rows if r.x != 0.0), default=0.0)
 
 
 def _solve_w2(rows) -> float:
-    """Kolmogorov envelope: g = expm1(C B L^2) + 1/L, only binds past 1/L."""
+    """Inverts g: g = expm1(C B L^2) + 1/L binds only past 1/L."""
     need = 0.0
     for r in rows:
         L = math.log(r.n / r.m)
         excess = r.lhs - 1.0 / L
         if excess > 0.0:
-            need = max(need, math.log1p(excess) / (Envelope(r.m, r.n)._bracket * L * L))
+            need = max(need, math.log1p(excess) / (_bracket(r.m, r.n) * L * L))
     return need
 
+
+# ----------------------------------------------------------- audit registry
 
 @dataclass(frozen=True)
 class Audit:
@@ -310,8 +337,8 @@ class Audit:
     kappa, table)`` validates those cells and returns (requests, read):
     the (m, n, cap) laws its rows need, and the reader of the rows from a
     book holding them.  ``solve(rows)`` is the smallest constant making
-    the bound hold on them.  Envelope constants sit inside an exp, so they
-    are solved pointwise (the envelopes are increasing in C); purely
+    the bound hold on them.  The f and g constants sit inside an exp, so
+    they are solved pointwise (the envelopes are increasing in C); purely
     multiplicative constants are ratio maxima.  The golden constant is the
     largest solve over ``slopes``.
     """

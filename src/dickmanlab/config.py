@@ -33,7 +33,7 @@ def stimabase_pairs() -> list[tuple[int, int]]:
     return pairs
 
 
-# Envelope audit for the characteristic-function distance: (m, n) pairs
+# f-envelope audit of the characteristic-function distance: (m, n) pairs
 # and the t grid on [-5, 5].
 W1_PAIRS = ((2, 10), (5, 50), (10, 100), (20, 400))
 W1_T_POINTS = 41

@@ -10,11 +10,11 @@ iterable of (m, n, cap) requests from one sweep with the book
 Readers plan, then read: they state every law they read as a request
 and read their rows from the book (``pmf``, ``power_sum_scan``, the
 audits), and the calibration builds one book for all its grids.
-``pmf`` returns the whole law; the scans and audits cap the support at
-the largest value they read, which is exact because entry v depends only
-on entries <= v.  Readers of a few low atoms (``cov_Y``, the stimabase
-audit) stop at those atoms, and power sums at a Chernoff cap whose
-dropped tail is below 2^-60 of the sum.  The top of a sweep also falls to
+``pmf`` returns the law up to its last nonzero atom; the scans and audits
+cap the support at the largest value they read, which is exact because
+entry v depends only on entries <= v.  Readers of a few low atoms
+(``cov_Y``, the stimabase audit) stop at those atoms, and power sums at a
+Chernoff cap whose dropped tail is below 2^-60 of the sum.  The top of a sweep also falls to
 ``keep[k]``, the largest entry any read after step k needs: for a batch,
 the largest cap still pending, so a wide law read early does not widen
 the rest of the sweep.  ``_point_probs``, the one reader of P(T_n =
@@ -25,6 +25,7 @@ than R + 1 + 2G kept entries, whatever the rows.
 Each step also skips the exactly-zero tail of its laws: entries above
 nz + k, nz the highest entry that can be nonzero, come out 0*q + 0*p = 0
 exactly, and past n of about 177 the top entry 1/n! underflows to 0.0.
+Every law ends at nz, and every reader reads past a law's end as 0.0.
 ``kolmogorov_distance`` reads up to x_max (n - m), or accepts a shorter
 law when its dropped tail plus the Dickman tail is certified below the
 distance found; the w2 audit builds its law only to such a cap, 4 to 5.4
@@ -101,8 +102,10 @@ class KappaSeq:
 
 @dataclass(frozen=True)
 class Pmf:
-    """Probability mass function of T_m^n on its full support 0..S.
+    """Probability mass function of T_m^n on 0..S, up to its last nonzero atom.
 
+    In float mode the law stops where the top of the support underflows to
+    0.0 (past n of about 177); every entry past its end is 0.0.
     kolmogorov_distance alone also accepts a float prefix of the law (a
     ``_laws`` book entry), such as one capped at ``_kolmogorov_cap``.
     """
@@ -121,11 +124,13 @@ def _steps(starts: Sequence[int], n: int, keep: Sequence[int] | None = None):
     """Float DP over k = starts[0]+1 .. n, in place, for sorted block starts.
 
     Yields (k, laws): column i of laws is the law of T_{starts[i]}^k on
-    0..top.  Update per weight k:  new[v] = old[v]*(1 - 1/k) + old[v-k]*(1/k),
-    on the columns with starts[i] < k only; the others stay a delta at 0.
-    The support top is S_k = sum_{j=starts[0]+1}^k j.  With ``keep``,
-    nonincreasing, where keep[k] is the largest entry that any read after
-    step k needs, the top falls to keep[k] if smaller (but not below 0):
+    0..nz, nz <= top the highest entry that can be nonzero (Zero tail,
+    below); every entry past it is 0.0.  Update per weight k:
+    new[v] = old[v]*(1 - 1/k) + old[v-k]*(1/k), on the columns with
+    starts[i] < k only; the others stay a delta at 0.  The support top is
+    S_k = sum_{j=starts[0]+1}^k j.  With ``keep``, nonincreasing, where
+    keep[k] is the largest entry that any read after step k needs, the top
+    falls to keep[k] if smaller (but not below 0):
     entry v depends only on entries <= v, so truncation leaves every kept
     entry exact.  Once it falls it stays down, so every entry a later step
     reads was kept at each step before, and stale entries above the top go
@@ -182,13 +187,14 @@ def _steps(starts: Sequence[int], n: int, keep: Sequence[int] | None = None):
             rows = np.flatnonzero(laws[nz + 1 : hi]) // len(starts)
             hi = nz + 1 + int(rows[-1]) if len(rows) else nz
         nz = hi
-        yield k, laws[: top + 1]
+        yield k, laws[: nz + 1]
 
 
 def _laws(requests: Iterable[tuple[int, int, int | None]]) -> dict[tuple, np.ndarray]:
     """The book {(m, n, cap): law of T_m^n on 0..min(S, cap)} of distinct requests.
 
-    One sweep builds it, each law the prefix of the full law bit for bit.
+    One sweep builds it, each law the prefix of the full law bit for bit,
+    cut after the sweep's last possibly-nonzero entry (nz in ``_steps``).
     The sweep keeps after step k only the largest top still to be read at
     some n >= k (``keep`` in ``_steps``), so a wide law read early does not
     widen the columns read late.  Laws taken before the last step are

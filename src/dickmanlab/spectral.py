@@ -1,22 +1,20 @@
-"""Characteristic functions and bound envelopes.
+"""Characteristic functions, the error kernel and the L2 integrals.
 
 Covers the characteristic functions of T_m^n and the Dickman law,
-the error kernel gamma_{m,n}, the f/g/chi bound envelopes with their
-calibration constant, and the L2 quantities tied to the Parseval
-identity for integer-supported laws.
+the error kernel gamma_{m,n}, and the L2 quantities tied to the
+Parseval identity for integer-supported laws.
 """
 from __future__ import annotations
 
 import cmath
 import functools
 import math
-from dataclasses import dataclass
 
 import numpy as np
 
 from .cumulants import alpha_j
 from .dickman import EULER_GAMMA, RhoTable, rho_sq_integral
-from .exact_dist import KappaSeq, Pmf, power_sum
+from .exact_dist import Pmf, power_sum
 
 # _PHI_T_MAX keeps phi_dickman's panels < 2^12.
 _PHI_T_MAX = 1e4
@@ -163,53 +161,6 @@ def gamma_series(m: int, n: int, t: float, J: int) -> complex:
         if not (math.isfinite(total.real) and math.isfinite(total.imag)):
             raise OverflowError(f"series diverged at j={j} for t={t}")
     return total
-
-
-@dataclass(frozen=True)
-class Envelope:
-    """Bound-envelope parameters: the block (m, n) and a calibration constant."""
-
-    m: int
-    n: int
-    c_const: float = 1.0
-
-    def __post_init__(self):
-        if not (2 <= self.m < self.n):
-            raise ValueError(f"need 2 <= m < n, got m={self.m}, n={self.n}")
-        if not (math.isfinite(self.c_const) and self.c_const > 0):
-            raise ValueError(f"c_const must be finite positive, got {self.c_const!r}")
-
-    @property
-    def _bracket(self) -> float:
-        m, n = self.m, self.n
-        return math.log(n / m) / (n - m) ** 2 + (m + 2) / (n - m)
-
-
-def f_envelope(env: Envelope, t: float) -> float:
-    """exp{C t^2 (log(n/m)/(n-m)^2 + (m+2)/(n-m))} - 1."""
-    return math.expm1(env.c_const * t * t * env._bracket)
-
-
-def g_envelope(env: Envelope) -> float:
-    """exp(C {bracket} log^2(n/m)) - 1 + 1/log(n/m)."""
-    L = math.log(env.n / env.m)
-    return math.expm1(env.c_const * env._bracket * L * L) + 1.0 / L
-
-
-def chi(env: Envelope, kappa: KappaSeq, x: float) -> float:
-    """The chi_{m,n} aggregate controlling the far-regime covariance."""
-    m, n = env.m, env.n
-    dk = kappa(n) - kappa(m)
-    if dk <= 0:
-        raise ValueError(f"kappa_n - kappa_m = {dk} must be positive")
-    r = (n - m) / dk
-    L = math.log(n / m)
-    return (
-        r * L / math.sqrt(n - m)
-        + r * g_envelope(env)
-        + x * abs(r - 1.0 / x)
-        + (m + 1) / dk
-    )
 
 
 def l2_cf_parseval(n: int, power: float) -> float:

@@ -8,8 +8,9 @@ from hypothesis import assume, example, given, settings
 from hypothesis import strategies as st
 
 from dickmanlab import audits, config, exact_dist
+from dickmanlab.audits import f_envelope
 from dickmanlab.exact_dist import KappaSeq, pmf, prob_at
-from dickmanlab.spectral import Envelope, f_envelope, gamma_mn, phi_T, phi_dickman
+from dickmanlab.spectral import gamma_mn, phi_T, phi_dickman
 
 KAPPA1 = KappaSeq(1, mode="exact-multiple")
 
@@ -266,6 +267,13 @@ def test_calibrate_of_one_audit_is_its_calibration_and_its_own_rows(key, table):
         assert repr(got) == repr(audit.rows(audit.pairs(x), KappaSeq(x), table)), x
 
 
+@pytest.mark.parametrize("key", ["w1", "w2"])
+def test_envelope_plans_reject_a_bad_cell(key, table):
+    # The plan, not its reader, rejects the cell: no sweep or row is made.
+    with pytest.raises(ValueError, match=r"^need 2 <= m < n, got m=2, n=2$"):
+        audits.AUDITS[key].plan([(5, 50), (2, 2)], None, table)
+
+
 def test_gamma_kernel_series_per_m_is_the_one_pair_sup():
     pairs = config.stimabase_pairs()
     rows = audits.AUDITS["gamma_kernel"].rows(pairs, None, None)
@@ -276,7 +284,7 @@ def _w1_cell(m, n):
     """The w1 rows of one cell, from the characteristic functions directly."""
     ts = np.linspace(-config.W1_T_SPAN, config.W1_T_SPAN, config.W1_T_POINTS)
     return [audits.AuditRow("w1", m, n, float(t), 0, 0, abs(v - phi_dickman(float(t))),
-                            f_envelope(Envelope(m, n), t))
+                            f_envelope(m, n, t))
             for t, v in zip(ts, phi_T(m, n, ts / (n - m)))]
 
 

@@ -230,7 +230,7 @@ def test_kolmogorov_distance_is_the_per_atom_loop(table, table16, m, n):
 
 # sha256 of laws and rows deep in the underflow regime, recorded before the
 # DP skipped its exactly-zero tail; an nz bound off by one moves them.
-PMF_600_SHA256 = "2489952c613221bb67207410eb5a403c7372d5dc99f171a4758249bfdfaf96b3"
+PMF_600_SHA256 = "933fc6c4c165feefc85b11d4cad7eb6cef704332eb1bd38c2f1a0c746d99c6cf"
 LLT_ROWS_SHA256 = {
     (1, "exact-multiple", (150, 300, 600, 1250, 2500, 5000, 10000, 20000)):
         "7f4e535e40fe1692b98c8b29a130a75cca47af1d517bdfac81f0722c18e4c95a",
@@ -244,6 +244,15 @@ def test_underflowing_laws_and_rows_are_frozen(table):
     for (x, mode, ns), digest in LLT_ROWS_SHA256.items():
         rows = llt_table(KappaSeq(x, mode), ns, table)
         assert hashlib.sha256(repr(rows).encode()).hexdigest() == digest, x
+
+
+def test_pmf_ends_at_its_last_nonzero_atom():
+    # Past n of about 177 the top of the support underflows: the law stops
+    # at its last nonzero atom, 73,516 entries of the 180,301 in 0..S at 600.
+    probs = pmf(0, 600).probs
+    assert len(probs) == 73_516
+    assert probs[-1] != 0.0
+    assert len(pmf(0, 177).probs) == 177 * 178 // 2 + 1
 
 
 def test_dp_skips_the_zero_tail_and_no_nonzero_entry(dp_ops, table):
@@ -481,9 +490,13 @@ def law_requests(draw):
                    (40, 400, None)])
 @settings(max_examples=60, deadline=None)
 def test_batched_laws_are_the_one_block_laws_bit_for_bit(requests):
+    # A book law ends at the sweep's last possibly-nonzero entry; the
+    # reference runs to min(S, cap), and everything past the law is 0.0.
     book = _laws(requests)
     for m, n, cap in requests:
-        assert book[m, n, cap].tobytes() == one_block_law(m, n, cap).tobytes(), (m, n, cap)
+        law, want = book[m, n, cap], one_block_law(m, n, cap)
+        assert law.tobytes() == want[: len(law)].tobytes(), (m, n, cap)
+        assert not want[len(law):].any(), (m, n, cap)
 
 
 @st.composite

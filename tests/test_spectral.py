@@ -6,13 +6,10 @@ import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
-from dickmanlab import config
+from dickmanlab import audits, config
+from dickmanlab.audits import chi, f_envelope, g_envelope
 from dickmanlab.exact_dist import pmf, prob_at
 from dickmanlab.spectral import (
-    Envelope,
-    chi,
-    f_envelope,
-    g_envelope,
     gamma_grids,
     gamma_mn,
     gamma_series,
@@ -185,29 +182,43 @@ def test_gamma_series_against_closed_form():
 
 
 def test_envelopes():
-    env = Envelope(2, 10, 1.0)
-    assert f_envelope(env, 0.0) == 0.0
-    assert f_envelope(env, 1.0) > 0.0
-    assert g_envelope(env) > 0.0
-    tight = Envelope(9, 10, 1.0)
-    assert g_envelope(tight) > 1.0 / math.log(10 / 9)  # 1/log term dominates
-    with pytest.raises(ValueError):
-        Envelope(1, 5)
-    with pytest.raises(ValueError):
-        Envelope(3, 3)
-    with pytest.raises(ValueError):
-        Envelope(2, 5, c_const=0.0)
+    assert f_envelope(2, 10, 0.0) == 0.0
+    assert f_envelope(2, 10, 1.0) > 0.0
+    assert g_envelope(2, 10) > 0.0
+    assert g_envelope(9, 10) > 1.0 / math.log(10 / 9)  # 1/log term dominates
+    with pytest.raises(ValueError, match=r"need 2 <= m < n, got m=1, n=5"):
+        f_envelope(1, 5, 1.0)
+    with pytest.raises(ValueError, match=r"need 2 <= m < n, got m=3, n=3"):
+        g_envelope(3, 3)
+
+
+def test_f_envelope_is_expm1_of_the_bracket():
+    assert f_envelope(2, 10, 1.0) == math.expm1(audits._bracket(2, 10))
+    assert audits._bracket(2, 10) == math.log(5) / 64 + 4 / 8
+
+
+@pytest.mark.parametrize("x", [1.0, 2.0])
+def test_g_and_chi_are_their_formulas_on_a_far_cell(x):
+    m, n = config.cov_far_pairs()[0]
+    kappa = KappaSeq(x)
+    L = math.log(n / m)
+    B = L / (n - m) ** 2 + (m + 2) / (n - m)
+    g = math.expm1(B * L * L) + 1.0 / L
+    assert g_envelope(m, n) == g
+    dk = kappa(n) - kappa(m)
+    r = (n - m) / dk
+    assert chi(m, n, kappa) == (r * L / math.sqrt(n - m) + r * g + x * abs(r - 1.0 / x)
+                                + (m + 1) / dk)
 
 
 def test_chi_exact_multiple_drops_middle_term():
-    env = Envelope(5, 20, 1.0)
     k = KappaSeq(1, mode="exact-multiple")
     # with kappa_n = n the term x |(n-m)/(kappa_n-kappa_m) - 1/x| vanishes
-    val = chi(env, k, 1.0)
-    expect = math.log(4.0) / math.sqrt(15) + g_envelope(env) + 6 / 15
+    val = chi(5, 20, k)
+    expect = math.log(4.0) / math.sqrt(15) + g_envelope(5, 20) + 6 / 15
     assert val == pytest.approx(expect, abs=1e-12)
     with pytest.raises(ValueError):
-        chi(env, KappaSeq(0.01), 0.01)
+        chi(5, 20, KappaSeq(0.01))
 
 
 def test_l2_parseval_small_n():
@@ -236,14 +247,12 @@ def test_inversion_consistency():
 
 
 def test_w1_envelope_audit_with_golden_constant():
-    from dickmanlab.audits import AUDITS
-
     c = config.load_golden()["w1"]["constant"]
     for m, n in config.W1_PAIRS:
-        env = Envelope(m, n, c_const=c * (1 + 1e-9))
-        for row in AUDITS["w1"].rows([(m, n)], None, None):
+        for row in audits.AUDITS["w1"].rows([(m, n)], None, None):
             if row.x != 0.0:
-                assert row.lhs <= f_envelope(env, row.x) + 1e-12
+                bound = math.expm1(c * (1 + 1e-9) * row.x * row.x * audits._bracket(m, n))
+                assert row.lhs <= bound + 1e-12
 
 
 def test_gamma_grids_per_m_are_the_one_n_grids():
