@@ -1,12 +1,12 @@
 """Numerical audits of the limit theorems and quantitative bounds.
 
 Every left-hand side here comes from the exact DP distributions, never
-from simulation.  Each audit reports AuditRow records (identifiers, lhs,
-envelope, ratio).  AUDITS holds one record per golden constant: its
-default grid from config, how it plans its rows and the solver for the
-smallest constant making the bound hold there.  ``calibrate`` reads the
-rows and constants of any set of them; run_calibration and the CLI's
-golden gate both go through it.
+from simulation.  Each audit reports AuditRow tuples (identifiers, lhs and
+envelope, with the ratio derived).  AUDITS holds one record per golden
+constant: its default grid from config, how it plans its rows and the
+solver for the smallest constant making the bound hold there.
+``calibrate`` reads the rows and constants of any set of them;
+run_calibration and the CLI's golden gate both go through it.
 
 Audits plan, then read.  An audit's plan validates its cells and states
 every DP law its rows read as an (m, n, cap) request; one ``_laws`` sweep
@@ -22,8 +22,8 @@ from __future__ import annotations
 
 import functools
 import math
-from dataclasses import dataclass, field
-from typing import Callable
+from dataclasses import dataclass
+from typing import Callable, NamedTuple
 
 import numpy as np
 
@@ -43,9 +43,8 @@ from .exact_dist import (
 from .spectral import gamma_grids, l2_cf_limit, l2_cf_parseval, phi_T, phi_dickman
 
 
-@dataclass(frozen=True)
-class AuditRow:
-    """One audited grid cell: identifiers, measured lhs, envelope, ratio."""
+class AuditRow(NamedTuple):
+    """One audited grid cell: identifiers, measured lhs and envelope; ratio derived."""
 
     label: str
     m: int
@@ -55,11 +54,11 @@ class AuditRow:
     kappa_n: int
     lhs: float
     envelope: float
-    ratio: float = field(init=False)
 
-    def __post_init__(self):
-        r = self.lhs / self.envelope if self.envelope > 0 else float("inf")
-        object.__setattr__(self, "ratio", r)
+    @property
+    def ratio(self) -> float:
+        """lhs / envelope, inf where the envelope is not positive."""
+        return self.lhs / self.envelope if self.envelope > 0 else float("inf")
 
 
 def llt_table(kappa: KappaSeq, n_list, table: RhoTable) -> list[AuditRow]:

@@ -129,8 +129,6 @@ def cmd_audit(args) -> int:
     the constant over all its slopes, which check and regenerate both gate
     in ``--golden-file``, or in the packaged file when it is unset.
     """
-    from dataclasses import astuple, fields
-
     from . import audits
 
     audit = _audit(args)
@@ -144,7 +142,7 @@ def cmd_audit(args) -> int:
         rows = rows_at[x]
     if not rows:
         raise ValueError(f"no {audit.key} grid cells at x={x}")
-    text = _report(args, [f.name for f in fields(audits.AuditRow)], [astuple(r) for r in rows])
+    text = _report(args, [*audits.AuditRow._fields, "ratio"], [(*r, r.ratio) for r in rows])
     problems = []
     # The output opens before the gate and is written after it, so a run
     # that exits 2 leaves the golden file as it was, or prints nothing.

@@ -36,6 +36,7 @@ from __future__ import annotations
 
 import itertools
 import math
+import operator
 from dataclasses import dataclass
 from fractions import Fraction
 from typing import Iterable, Sequence
@@ -69,26 +70,29 @@ class KappaSeq:
             raise ValueError(f"unknown kappa mode {mode!r}")
         object.__setattr__(self, "x", x)
         object.__setattr__(self, "mode", mode)
+        object.__setattr__(self, "_pq", x.as_integer_ratio())  # read on every call
 
-    def __call__(self, n):
-        """kappa_n, for an int n or an object array of ints alike."""
-        p, q = self.x.numerator, self.x.denominator
+    def __call__(self, n) -> int:
+        """kappa_n, in exact Python ints for any integer n, numpy ones included."""
+        n = operator.index(n)
+        p, q = self._pq
         if self.mode == "round":
             return (2 * p * n + q) // (2 * q)
-        if self.mode == "exact-multiple" and np.any((p * n) % q != 0):
+        if self.mode == "exact-multiple" and (p * n) % q:
             raise ValueError("x*n is not an integer for exact-multiple mode")
         return (p * n) // q
 
     def values(self, ns: Iterable[int]) -> np.ndarray:
-        """Vectorized kappa over many indices, formed in exact Python ints."""
-        return self(np.array([int(n) for n in ns], dtype=object)).astype(np.int64)
+        """kappa over many indices as int64; OverflowError past int64, never a wrap."""
+        return np.array([self(n) for n in ns], dtype=np.int64)
 
-    def first(self, T: int) -> int:
-        """The smallest n >= 1 with kappa_n >= T, for T >= 1.
+    def first(self, T) -> int:
+        """The smallest n >= 1 with kappa_n >= T, for an integer T >= 1.
 
         kappa is nondecreasing, so {n : kappa_n = T} = [first(T), first(T + 1)).
         """
-        p, q = self.x.numerator, self.x.denominator
+        T = operator.index(T)
+        p, q = self._pq
         if self.mode == "round":  # 2pn + q >= 2qT
             return -((q - 2 * q * T) // (2 * p))
         if self.mode == "exact-multiple" and q != 1:
@@ -197,8 +201,8 @@ def _laws(requests: Iterable[tuple[int, int, int | None]]) -> dict[tuple, np.nda
     cut after the sweep's last possibly-nonzero entry (nz in ``_steps``).
     The sweep keeps after step k only the largest top still to be read at
     some n >= k (``keep`` in ``_steps``), so a wide law read early does not
-    widen the columns read late.  Laws taken before the last step are
-    copies; at the last step a one-block sweep's law is a view, not a copy.
+    widen the columns read late.  Every law is a copy of its own, so no law
+    keeps the sweep's table alive.
     """
     requests = list(dict.fromkeys(requests))
     if not requests:
@@ -219,7 +223,9 @@ def _laws(requests: Iterable[tuple[int, int, int | None]]) -> dict[tuple, np.nda
     for k, laws in _steps(starts, n_max, keep):
         for j in due.get(k, ()):
             law = laws[: tops[j] + 1, starts.index(requests[j][0])]
-            book[requests[j]] = np.ascontiguousarray(law) if k == n_max else law.copy()
+            # np.array drops an ndarray subclass: tools/opcount.py's pinned ledger
+            # leaves the reads of the laws a sweep ends on uncounted.
+            book[requests[j]] = np.array(law) if k == n_max else law.copy()
     return book
 
 

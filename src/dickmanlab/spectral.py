@@ -118,13 +118,12 @@ def gamma_grids(m: int, ns, u_points: int):
     ks = np.arange(m + 1, max(ns) + 1)
     a = 1.0 / (ks - 1)
     c = ks * a  # k a^q at q = 1
-    idx, coef, kept = [ks % M], [a], []
+    idx, coef = [ks % M], [a]
     q = 1
     while True:
         # Term q+1 is kept while the tail past q, k a^{q+1}/(1-a), exceeds
         # 2^-60 a; that falls with k, so the k still kept are a prefix.
-        kept.append(c > 2.0**-60 * (1.0 - a))
-        live = np.count_nonzero(kept[-1])
+        live = np.count_nonzero(c > 2.0**-60 * (1.0 - a))
         if not live:
             break
         ks, a = ks[:live], a[:live]
@@ -133,13 +132,9 @@ def gamma_grids(m: int, ns, u_points: int):
         idx.append(ks * q % M)
         coef.append(c if q % 2 else -c)
     for n in ns:
-        widths = [n - m]  # row q of n's own build holds its first widths[q - 1] terms
-        for keep in kept:
-            widths.append(np.count_nonzero(keep[: widths[-1]]))
-            if not widths[-1]:
-                break
-        A = np.bincount(np.concatenate([i[:w] for i, w in zip(idx, widths)]),
-                        np.concatenate([c[:w] for c, w in zip(coef, widths)]), minlength=M)
+        # Each row holds a prefix of the k, so n's own build holds its first n - m.
+        A = np.bincount(np.concatenate([i[: n - m] for i in idx]),
+                        np.concatenate([c[: n - m] for c in coef]), minlength=M)
         # sum_r A_r w^{jr} = conj(rfft(A)[j]) for real A, and rfft returns j = 0..M/2.
         yield np.conj(np.fft.rfft(A)) / (n - m)
 

@@ -92,6 +92,24 @@ def test_golden_check_passes(capsys):
     assert set(audits.AUDITS) == set(config.load_golden())
 
 
+# sha256 of the stdout of two JSON audit reports, recorded when AuditRow
+# was a dataclass: the header and every row, ratio included, keep their bytes.
+JSON_AUDIT_DIGESTS = {
+    "stimabase --golden check --format json":
+        "66879e3aa1f5a7272cfb2a506ba227006e747508c30db28a0efc4c93099f2058",
+    "cov-audit --regime far --format json":
+        "50d32f20eb14da16370471eb22bef678d92d40fddefc581ea18d2ac51da21cac",
+}
+
+
+@pytest.mark.parametrize("argv", list(JSON_AUDIT_DIGESTS))
+def test_json_audit_reports_keep_their_bytes(capsys, argv):
+    code, out = run(capsys, *argv.split())
+    assert code == 0
+    assert hashlib.sha256(out.encode()).hexdigest() == JSON_AUDIT_DIGESTS[argv]
+    assert list(json.loads(out)["rows"][0]) == [*audits.AuditRow._fields, "ratio"]
+
+
 def test_golden_regenerate_rewrites_only_its_constant(tmp_path, monkeypatch, capsys):
     golden = config.load_golden()
     golden["cov_far"]["grid_hash"] = "stale000"

@@ -239,11 +239,19 @@ LLT_ROWS_SHA256 = {
 }
 
 
+def _row_repr(row) -> str:
+    # The digests hash each row as "AuditRow(label=..., envelope=..., ratio=...)",
+    # the derived ratio last, so every stored field and the ratio keep their bits.
+    fields = [*row._asdict().items(), ("ratio", row.ratio)]
+    return f"AuditRow({', '.join(f'{k}={v!r}' for k, v in fields)})"
+
+
 def test_underflowing_laws_and_rows_are_frozen(table):
     assert hashlib.sha256(pmf(0, 600).probs.tobytes()).hexdigest() == PMF_600_SHA256
     for (x, mode, ns), digest in LLT_ROWS_SHA256.items():
         rows = llt_table(KappaSeq(x, mode), ns, table)
-        assert hashlib.sha256(repr(rows).encode()).hexdigest() == digest, x
+        text = f"[{', '.join(map(_row_repr, rows))}]"
+        assert hashlib.sha256(text.encode()).hexdigest() == digest, x
 
 
 def test_pmf_ends_at_its_last_nonzero_atom():
@@ -253,6 +261,13 @@ def test_pmf_ends_at_its_last_nonzero_atom():
     assert len(probs) == 73_516
     assert probs[-1] != 0.0
     assert len(pmf(0, 177).probs) == 177 * 178 // 2 + 1
+
+
+def test_pmf_law_owns_its_memory():
+    # The law is a copy of its own: it does not keep the 180,301-row table alive.
+    probs = pmf(0, 600).probs
+    assert probs.base is None
+    assert probs.nbytes == 73_516 * 8
 
 
 def test_dp_skips_the_zero_tail_and_no_nonzero_entry(dp_ops, table):
@@ -391,6 +406,22 @@ def test_kappa_values_match_scalar_for_long_slopes(x, ns, mode):
     # A 17-digit slope pins to a numerator near 10^16, so p * n passes 2^63.
     k = KappaSeq(x, mode=mode)
     assert list(k.values(ns)) == [k(n) for n in ns]
+
+
+def test_kappa_takes_numpy_integers_as_exact_ints():
+    # p near 1.2e16: with a numpy int64 n the product p * n would wrap.
+    k = KappaSeq(1.2345678901234567)
+    assert k(np.int64(1000)) == k(1000) == 1234
+    assert k.first(np.int64(1234)) == k.first(1234) == 1000
+    assert cov_Y(k, np.int64(1500), np.int64(1501)) == cov_Y(k, 1500, 1501)
+    assert cov_Y(k, 1500, 1501) == pytest.approx(-0.19666105495348402, rel=1e-12)
+
+
+def test_kappa_values_raise_past_int64():
+    k = KappaSeq(10**10)
+    assert k.values([10**8]).tolist() == [10**18]
+    with pytest.raises(OverflowError):
+        k.values([10**9])  # kappa = 10^19 > 2^63 - 1
 
 
 @given(m=st.integers(min_value=0, max_value=6), span=st.integers(min_value=1, max_value=8))
