@@ -9,9 +9,9 @@ solver for the smallest constant making the bound hold there.
 run_calibration and the CLI's golden gate both go through it.
 
 Audits plan, then read.  An audit's plan validates its cells and states
-every DP law its rows read as an (m, n, cap) request; one ``_laws`` sweep
-builds the book {(m, n, cap): law}, and the plan's reader takes its rows
-from it.  ``calibrate`` builds one book for its audits at all their
+every DP entry its rows read as an (m, n, lo, hi) request; one ``_laws``
+sweep builds the book of them, and the plan's reader takes its rows from
+it.  ``calibrate`` builds one book for its audits at all their
 slopes; otherwise ``Audit.rows`` builds a book of its own, and each one-cell
 function (``stimabase_check``, ``w2_check``, ``covariance_audit``,
 ``gamma_kernel_sup``) is its entry's rows on one cell.  The f, g and chi
@@ -36,7 +36,6 @@ from .exact_dist import (
     _covariances,
     _kolmogorov_cap,
     _laws,
-    _point_probs,
     kolmogorov_distance,
     pmf,  # unused here; perfbench's tracer test reads it as audits.pmf
 )
@@ -64,9 +63,9 @@ class AuditRow(NamedTuple):
 def llt_table(kappa: KappaSeq, n_list, table: RhoTable) -> list[AuditRow]:
     """Point-probability convergence: lhs = n P(T_n = kappa_n), target e^-g rho(x).
 
-    One DP sweep reads every requested n (``_point_probs``, whose cost
-    stays linear in n for dense and sparse rows alike), so each lhs is
-    n * point_prob_scan(kappa, n)[n - 1] bit for bit.
+    One ``_laws`` sweep reads the atom (0, n, kappa_n, kappa_n) of every
+    requested n, at a cost linear in n for dense and sparse rows alike, so
+    each lhs is n * point_prob_scan(kappa, n)[n - 1] bit for bit.
     """
     n_list = sorted(set(int(n) for n in n_list))
     if not n_list:
@@ -75,15 +74,18 @@ def llt_table(kappa: KappaSeq, n_list, table: RhoTable) -> list[AuditRow]:
         raise ValueError(f"all n must be >= 1, got {n_list[0]}")
     x = kappa.x_float
     target = dickman_density(table, x)
-    return [AuditRow("llt", 0, n, x, 0, kappa(n), n * p, target)
-            for n, p in zip(n_list, _point_probs(kappa, n_list))]
+    targets = list(map(kappa, n_list))
+    book = _laws((0, n, t, t) for n, t in zip(n_list, targets))
+    return [AuditRow("llt", 0, n, x, 0, t, n * book[0, n, t, t], target)
+            for n, t in zip(n_list, targets)]
 
 
 def stimabase_check(m: int, n: int, kappa: KappaSeq) -> AuditRow:
     """Point probability against a window mass, envelope (1+log(n/m))/sqrt(n-m).
 
     lhs = | d P(T_m^n = d) - P(d - n < T_m^n <= d - (m+1)) |  with
-    d = kappa_n - kappa_m; only the law on 0..d, all the check reads, is built.
+    d = kappa_n - kappa_m; the check reads entries max(d - n + 1, 0)..d, and the
+    sweep keeps the law only up to d.
     """
     return AUDITS["stimabase"].rows([(m, n)], kappa, None)[0]
 
@@ -99,20 +101,21 @@ def _stimabase_plan(pairs, kappa, table):
             raise ValueError(f"degenerate target: kappa_n - kappa_m = {kn - km}")
         cells.append((m, n, km, kn, kn - km))
 
+    requests = [(m, n, max(d - n + 1, 0), d) for m, n, _, _, d in cells]  # lo: above d - n
+
     def read(book) -> list[AuditRow]:
         rows = []
-        for m, n, km, kn, d in cells:
-            probs = book[m, n, d]
-            lo = max(d - n + 1, 0)  # first value strictly above d - n
-            hi = min(d - (m + 1), len(probs) - 1)
-            window = float(probs[lo : hi + 1].sum()) if hi >= lo else 0.0
-            point = float(probs[d]) if d < len(probs) else 0.0
+        for (m, n, km, kn, d), r in zip(cells, requests):
+            lo, probs = r[2], book[r]  # entries lo..d, cut at the law's end
+            size = d - m - lo  # of the window lo..d - (m+1)
+            window = float(probs[:size].sum()) if size > 0 and len(probs) else 0.0
+            point = float(probs[d - lo]) if d - lo < len(probs) else 0.0
             lhs = abs(d * point - window)
             env = (1.0 + math.log(n / m)) / math.sqrt(n - m)
             rows.append(AuditRow("stimabase", m, n, kappa.x_float, km, kn, lhs, env))
         return rows
 
-    return [(m, n, d) for m, n, _, _, d in cells], read
+    return requests, read
 
 
 def _w1_plan(pairs, kappa, table):
@@ -145,12 +148,12 @@ def w2_check(m: int, n: int, table: RhoTable) -> AuditRow:
 def _w2_plan(pairs, kappa, table: RhoTable):
     """w2_check at every pair: each law stops at its ``_kolmogorov_cap``."""
     envs = [g_envelope(m, n) for m, n in pairs]  # a bad cell fails here, before any sweep
-    requests = [(m, n, _kolmogorov_cap(table, m, n)) for m, n in pairs]
+    requests = [(m, n, 0, _kolmogorov_cap(table, m, n)) for m, n in pairs]
 
     def read(book) -> list[AuditRow]:
         return [AuditRow("w2", m, n, float("nan"), 0, 0,
-                         kolmogorov_distance(Pmf(m, n, book[m, n, cap], "float"), table), env)
-                for env, (m, n, cap) in zip(envs, requests)]
+                         kolmogorov_distance(Pmf(m, n, book[m, n, 0, cap], "float"), table), env)
+                for env, (m, n, _, cap) in zip(envs, requests)]
 
     return requests, read
 
@@ -289,8 +292,9 @@ def f_envelope(m: int, n: int, t: float) -> float:
 
 def g_envelope(m: int, n: int) -> float:
     """exp(B log^2(n/m)) - 1 + 1/log(n/m), at constant 1."""
+    B = _bracket(m, n)  # checks the block before the log reads it
     L = math.log(n / m)
-    return math.expm1(_bracket(m, n) * L * L) + 1.0 / L
+    return math.expm1(B * L * L) + 1.0 / L
 
 
 def chi(m: int, n: int, kappa: KappaSeq) -> float:
@@ -300,8 +304,8 @@ def chi(m: int, n: int, kappa: KappaSeq) -> float:
     if dk <= 0:
         raise ValueError(f"kappa_n - kappa_m = {dk} must be positive")
     r = (n - m) / dk
-    L = math.log(n / m)
-    return r * L / math.sqrt(n - m) + r * g_envelope(m, n) + x * abs(r - 1.0 / x) + (m + 1) / dk
+    g = g_envelope(m, n)  # checks the block before the log reads it
+    return r * math.log(n / m) / math.sqrt(n - m) + r * g + x * abs(r - 1.0 / x) + (m + 1) / dk
 
 
 def _max_ratio(rows) -> float:
@@ -334,9 +338,9 @@ class Audit:
 
     ``pairs(x)`` is the default (m, n) grid at slope x.  ``plan(pairs,
     kappa, table)`` validates those cells and returns (requests, read):
-    the (m, n, cap) laws its rows need, and the reader of the rows from a
-    book holding them.  ``solve(rows)`` is the smallest constant making
-    the bound hold on them.  The f and g constants sit inside an exp, so
+    the (m, n, lo, hi) requests its rows need, and the reader of the rows
+    from a book holding them.  ``solve(rows)`` is the smallest constant
+    making the bound hold on them.  The f and g constants sit inside an exp, so
     they are solved pointwise (the envelopes are increasing in C); purely
     multiplicative constants are ratio maxima.  The golden constant is the
     largest solve over ``slopes``.

@@ -3,34 +3,24 @@
 Z_k are independent indicators with P(Z_k = 1) = 1/k.  The distribution
 is built by dynamic-programming convolution over the integer support
 0..S, S = sum of the weights.  One in-place DP kernel, ``_steps``, serves
-every float law.  It advances several blocks T_m^k with different starts
-m side by side, so ``_laws``, the one batched law API, answers any
-iterable of (m, n, cap) requests from one sweep with the book
-{(m, n, cap): law}, each law bit for bit that of a one-block DP.
-Readers plan, then read: they state every law they read as a request
-and read their rows from the book (``pmf``, ``power_sum_scan``, the
-audits), and the calibration builds one book for all its grids.
-``pmf`` returns the law up to its last nonzero atom; the scans and audits
-cap the support at the largest value they read, which is exact because
-entry v depends only on entries <= v.  Readers of a few low atoms
-(``cov_Y``, the stimabase audit) stop at those atoms, and power sums at a
-Chernoff cap whose dropped tail is below 2^-60 of the sum.  The top of a sweep also falls to
-``keep[k]``, the largest entry any read after step k needs: for a batch,
-the largest cap still pending, so a wide law read early does not widen
-the rest of the sweep.  ``_point_probs``, the one reader of P(T_n =
-kappa_n), keeps u_k only up to R - k - 1, R its top target, or to the
-last target within G = 256 of the one below, and carries each target
-above as a float chain of the DP's own operations: a step costs less
-than R + 1 + 2G kept entries, whatever the rows.
-Each step also skips the exactly-zero tail of its laws: entries above
-nz + k, nz the highest entry that can be nonzero, come out 0*q + 0*p = 0
-exactly, and past n of about 177 the top entry 1/n! underflows to 0.0.
-Every law ends at nz, and every reader reads past a law's end as 0.0.
-``kolmogorov_distance`` reads up to x_max (n - m), or accepts a shorter
-law when its dropped tail plus the Dickman tail is certified below the
-distance found; the w2 audit builds its law only to such a cap, 4 to 5.4
-(n - m) on its pairs.  Default arithmetic is double precision; an
-exact-rational mode (capped at n <= 64) exists purely as an oracle.
+every float law, advancing several blocks T_m^k with different starts m
+side by side.  ``_laws``, the one caller of it, answers any iterable of
+(m, n, lo, hi) requests, entries lo..hi of the law of T_m^n, with the
+book {(m, n, lo, hi): value}: a float for an atom (lo == hi), an array
+for a window, each bit for bit that of a one-block DP.  Readers plan,
+then read: they state every entry they read as a request and read their
+rows from the book (``pmf``, the scans, ``cov_Y``, the audits), and the
+calibration builds one book for all its grids.  Entry v depends only on
+entries <= v, so a sweep keeps no more than its reads need (``keep``),
+and an atom far above the rest rides a float chain of the DP's own
+operations: a step costs fewer than R + 1 + 2G kept entries per column,
+R the largest pending hi and G = 256, whatever the requests.  Every law
+ends at its last possibly-nonzero entry (the zero tail in ``_steps``),
+and every reader reads past a law's end as 0.0.  ``kolmogorov_distance``
+reads up to x_max (n - m), or accepts a shorter law when its dropped
+tail plus the Dickman tail is certified below the distance found.
+Default arithmetic is double precision; an exact-rational mode (capped
+at n <= 64) exists purely as an oracle.
 """
 from __future__ import annotations
 
@@ -134,29 +124,22 @@ def _steps(starts: Sequence[int], n: int, keep: Sequence[int] | None = None):
     starts[i] < k only; the others stay a delta at 0.  The support top is
     S_k = sum_{j=starts[0]+1}^k j.  With ``keep``, nonincreasing, where
     keep[k] is the largest entry that any read after step k needs, the top
-    falls to keep[k] if smaller (but not below 0):
-    entry v depends only on entries <= v, so truncation leaves every kept
-    entry exact.  Once it falls it stays down, so every entry a later step
-    reads was kept at each step before, and stale entries above the top go
-    unread; the table holds the largest top.  ``_laws`` passes the largest
-    cap still pending.
-    ``_point_probs`` passes max(R - k - 1, N_k), R its largest pending
-    target and N_k its last one within G of the one below: entry v of u_k
-    reaches u_j(t), j > k, only through entries t - (sum of weights in
-    k+1..j), so an entry above R - k - 1 matters only as a later read's own
-    target t, which that reader keeps up to N_k and carries above it.
+    falls to keep[k] if smaller (but not below 0): entry v depends only on
+    entries <= v, so truncation leaves every kept entry exact.  Once it
+    falls it stays down, so every entry a later step reads was kept at each
+    step before, and stale entries above the top go unread; the table holds
+    the largest top.  ``_laws``, the one caller, derives keep from its reads.
     Zero tail: every entry above nz is exactly 0.0, so a step scales and
     adds only up to hi = min(nz + k, top); each entry above it would be
     0*(1 - p) + 0*p = 0 exactly, the value it already holds.  While hi =
     nz + k grows with the support, a step whose entry hi came out 0.0
     (the top 1/k! of T_0^k does from k = 178 on) lowers nz to the last
     nonzero entry it wrote; only then is a row checked, so capped sweeps
-    pay nothing.  Subnormal entries stay as they are.  Each column gets the float
-    operations of its one-block DP on its nonzero entries (past its own
-    support it adds zeros), so it is that law bit for bit.  Laws run down
-    the columns so that, once every column is live, each slice over v is
-    one contiguous block.  The yielded view is overwritten by the next
-    step.
+    pay nothing.  Subnormal entries stay as they are.  Each column gets the
+    float operations of its one-block DP on its nonzero entries (past its
+    own support it adds zeros), so it is that law bit for bit.  Laws run
+    down the columns, so once every column is live each slice over v is
+    one contiguous block; the yielded view is overwritten by the next step.
     """
     m = starts[0]
     # top_k = min(top_{k-1} + k, c_k), c_k = max(keep[k], 0), is min(S_k, c_k)
@@ -167,65 +150,129 @@ def _steps(starts: Sequence[int], n: int, keep: Sequence[int] | None = None):
     laws = np.zeros((int(tops.max()) + 1, len(starts)))
     laws[0] = 1.0
     goes_live = {s + 1: laws[:, : i + 1] for i, s in enumerate(starts)}  # first weight s + 1
-    live = None
     nz = 0  # every entry above nz is 0.0
-    for k, top in zip(range(m + 1, n + 1), tops.tolist()):
-        live = goes_live.get(k, live)
-        p = 1.0 / k
+    low_nz = view_nz = -1  # low and view are cut anew only when nz moves (or live, for low)
+    ps = 1.0 / np.arange(m + 1, n + 1)  # p = 1/k, as Python's 1.0 / k
+    # p and q = 1 - p come as 0-d arrays, which a ufunc takes faster than floats.
+    for k, top, p, q in zip(range(m + 1, n + 1), tops.tolist(), np.nditer(ps), np.nditer(1.0 - ps)):
+        if k in goes_live:
+            live, low_nz = goes_live[k], -1
         hi = nz + k  # the highest entry that can come out nonzero
         grows = hi <= top
         if not grows:
             hi = top
             if nz > top:  # the top fell; the entries above it go unread
                 nz = top
-        low = live[: nz + 1]
+        if nz != low_nz:
+            low, low_nz = live[: nz + 1], nz
         if hi >= k:
             moved = live[: hi - k + 1] * p
-            low *= 1.0 - p
+            low *= q
             high = live[k : hi + 1]
             high += moved
             del moved  # free it before the next step allocates its own
         else:
-            low *= 1.0 - p
+            low *= q
         if grows and not any(laws[hi].tolist()):  # the new top underflowed to 0.0
             rows = np.flatnonzero(laws[nz + 1 : hi]) // len(starts)
             hi = nz + 1 + int(rows[-1]) if len(rows) else nz
+        if hi != view_nz:
+            view, view_nz = laws[: hi + 1], hi
         nz = hi
-        yield k, laws[: nz + 1]
+        yield k, view
 
 
-def _laws(requests: Iterable[tuple[int, int, int | None]]) -> dict[tuple, np.ndarray]:
-    """The book {(m, n, cap): law of T_m^n on 0..min(S, cap)} of distinct requests.
+_CHAIN_GAP = 256
+"""G: an atom is chained only if more than G above the next-lower read.  A chain update
+costs about G kept DP entries (0.5 to 0.85 us against 1.4 to 2.6 ns on 2 CPUs)."""
 
-    One sweep builds it, each law the prefix of the full law bit for bit,
-    cut after the sweep's last possibly-nonzero entry (nz in ``_steps``).
-    The sweep keeps after step k only the largest top still to be read at
-    some n >= k (``keep`` in ``_steps``), so a wide law read early does not
-    widen the columns read late.  Every law is a copy of its own, so no law
-    keeps the sweep's table alive.
+
+def _laws(requests: Iterable[tuple[int, int, int, int | None]]) -> dict[tuple, float | np.ndarray]:
+    """The book {(m, n, lo, hi): entries lo..hi of the law of T_m^n}, from one sweep.
+
+    Each value is the one-block DP's bit for bit: a float for an atom
+    (lo == hi), 0.0 past the law's end; for a window (hi None: up to S) an
+    array of its own from entry lo, cut after the sweep's last
+    possibly-nonzero entry.  After step k the table keeps up to keep[k],
+    the largest of: hi - k - 1 over the reads at n >= k (entry v of T_m^k
+    reaches entry hi of T_m^n only as v = hi or from v <= hi - k - 1); hi of
+    the windows read at n >= k; and hi of each read within G = _CHAIN_GAP
+    above the next-lower one, while it and a lower one pend.  An atom above
+    keep[n] rides a chain keyed by (column, v), the DP's own two products
+    and one sum c <- c*(1 - 1/(k+1)) + u_k(v - k - 1)*(1/(k+1)), from u_s(v),
+    s the last step >= m that keeps v (before step m + 1 the column is the
+    delta at 0).  Cost: the atoms chained at a step pend above keep, more
+    than G apart, up to R, the largest pending hi, so c chains cost about
+    cG <= R - keep + G entries: a step costs fewer than R + 1 + 2G kept
+    entries per live column, whatever the requests.
     """
-    requests = list(dict.fromkeys(requests))
-    if not requests:
-        return {}
-    if not all(0 <= m < n for m, n, _ in requests):
-        raise ValueError(f"need 0 <= m < n in every request, got {requests}")
-    starts = sorted({m for m, _, _ in requests})
-    n_max = max(n for _, n, _ in requests)
-    tops = [(n * (n + 1) - m * (m + 1)) // 2 for m, n, _ in requests]
-    tops = [t if cap is None else min(t, cap) for t, (_, _, cap) in zip(tops, requests)]
-    due: dict[int, list[int]] = {}
-    keep = np.zeros(n_max + 1, dtype=np.int64)
-    for j, (_, n, _) in enumerate(requests):
-        due.setdefault(n, []).append(j)
-        keep[n] = max(keep[n], tops[j])
-    keep = np.maximum.accumulate(keep[::-1])[::-1]
-    book = {}
-    for k, laws in _steps(starts, n_max, keep):
-        for j in due.get(k, ()):
-            law = laws[: tops[j] + 1, starts.index(requests[j][0])]
-            # np.array drops an ndarray subclass: tools/opcount.py's pinned ledger
-            # leaves the reads of the laws a sweep ends on uncounted.
-            book[requests[j]] = np.array(law) if k == n_max else law.copy()
+    book, read, tops, windows = {}, [], [], []
+    for r in sorted(dict.fromkeys(requests), key=operator.itemgetter(1)):  # in read order
+        m, n, lo, hi = r
+        if not (0 <= m < n and 0 <= lo and (hi is None or lo <= hi)):
+            raise ValueError(f"need 0 <= m < n and 0 <= lo <= hi in a request, got {r}")
+        top = (n * (n + 1) - m * (m + 1)) // 2  # S, then the largest entry read
+        if lo == hi:
+            if lo > top:
+                book[r] = 0.0  # an atom past the support
+                continue
+            top = lo
+        else:
+            top = top if hi is None else min(top, hi)
+            windows.append((n, top))
+        read.append(r)
+        tops.append(top)
+    if not read:
+        return book
+    starts = sorted({r[0] for r in read})
+    column = {s: i for i, s in enumerate(starts)}
+    width, n_max, when = len(starts), read[-1][1], [r[1] for r in read] + [-1]  # -1 ends them
+    n, top = np.array(when[:-1], dtype=np.int64), np.array(tops, dtype=np.int64)
+    reach, held = np.full((2, n_max + 1), -1)
+    np.maximum.at(reach, n, top)
+    if windows:
+        np.maximum.at(held, *np.array(windows).T)
+    # Hold each read within G above the next-lower one while a lower read pends too.
+    order = np.argsort(top, kind="stable")
+    a, v = n[order], top[order]
+    near = np.diff(v) <= _CHAIN_GAP
+    np.maximum.at(held, np.minimum(a[1:], np.maximum.accumulate(a)[:-1])[near] - 1, v[1:][near])
+    keep = np.maximum.accumulate(reach[::-1])[::-1] - np.arange(1, n_max + 2)
+    np.maximum(keep, np.maximum.accumulate(held[::-1])[::-1], out=keep)
+    # A chain's key v * width + column is the flat index of its entry in the table.
+    begin, last = {}, {}  # k -> the chains that start from u_k; each chain's last read
+    chained = np.flatnonzero(top > keep[n])  # atoms only: keep holds every window
+    froms = np.searchsorted(-keep, -top[chained], side="right") - 1  # the last k keeping v
+    for j, k in zip(chained.tolist(), froms.tolist()):
+        m, n_j, v_j, _ = read[j]
+        key = v_j * width + column[m]
+        if key not in last:
+            begin.setdefault(max(k, m), []).append(key)  # before m + 1: the delta at 0
+        last[key] = n_j  # the reads run in step order
+    chains: dict[int, float] = {}  # key -> u_k(v), v above the kept top
+    j, sweep = 0, _steps(starts, n_max, keep)
+    for k, laws in itertools.chain([(starts[0], np.ones((1, width)))], sweep):
+        while when[j] == k:
+            m, _, lo, hi = r = read[j]
+            if lo != hi:
+                law = laws[lo : tops[j] + 1, column[m]]
+                # np.array drops an ndarray subclass: tools/opcount.py's pinned ledger
+                # leaves the reads of the laws a sweep ends on uncounted.
+                book[r] = np.array(law) if k == n_max else law.copy()
+            elif (key := lo * width + column[m]) in chains:
+                book[r] = chains.pop(key) if last[key] == k else chains[key]
+            else:
+                book[r] = laws.item(key) if lo < len(laws) else 0.0
+            j += 1
+        if k in begin:
+            for key in begin[k]:
+                chains[key] = laws.item(key) if key < laws.size else 0.0
+        if chains:
+            p, shift, size = 1.0 / (k + 1), (k + 1) * width, laws.size
+            q = 1.0 - p
+            for key, x in chains.items():
+                u = key - shift  # entry v - k - 1 of the chain's column
+                chains[key] = x * q + (laws.item(u) if 0 <= u < size else 0.0) * p
     return book
 
 
@@ -234,7 +281,7 @@ def pmf(m: int, n: int, mode: str = "float") -> Pmf:
     if not (0 <= m < n):
         raise ValueError(f"need 0 <= m < n, got m={m}, n={n}")
     if mode == "float":
-        return Pmf(m=m, n=n, probs=_laws([(m, n, None)])[m, n, None], mode="float")
+        return Pmf(m=m, n=n, probs=_laws([(m, n, 0, None)])[m, n, 0, None], mode="float")
     if mode == "exact":
         if n > EXACT_MODE_CAP:
             raise ValueError(f"exact mode capped at n <= {EXACT_MODE_CAP}, got n={n}")
@@ -350,70 +397,12 @@ def convolve(a: Pmf, b: Pmf) -> Pmf:
 
 
 def point_prob_scan(kappa: KappaSeq, n_max: int) -> np.ndarray:
-    """P(T_n = kappa_n), n = 1..n_max: ``_point_probs``, O(n_max (kappa_{n_max} + G))."""
+    """P(T_n = kappa_n), n = 1..n_max, from one ``_laws`` sweep: O(n_max (kappa_{n_max} + G))."""
     if n_max < 1:
         raise ValueError(f"n_max must be >= 1, got {n_max}")
-    return np.array(_point_probs(kappa, range(1, n_max + 1)))
-
-
-_CHAIN_GAP = 256
-"""G: a target is chained only if more than G above the next-lower pending
-one.  A chain update costs about G kept DP entries (0.5 to 0.85 us against
-1.4 to 2.6 ns on 2 CPUs), so chains cost no more than the entries they drop."""
-
-
-def _point_probs(kappa: KappaSeq, ns: Sequence[int]) -> list[float]:
-    """P(T_n = kappa_n) at each n of the sorted distinct ns >= 1, from one sweep.
-
-    The one point-probability reader; each value is the one-block DP entry
-    u_n(kappa_n) bit for bit.  After step k the sweep keeps u_k up to
-    keep[k] = max(R - k - 1, N_k) (see ``_steps``), R the largest pending
-    target and N_k the largest one within G = _CHAIN_GAP of the next-lower
-    pending target.  A pending target t above keep is carried as the chain
-    c <- c*(1 - 1/(k+1)) + u_k(t - k - 1)*(1/(k+1)), the DP's own two
-    products and one sum at entry t, from u_k(t) (zero past the support)
-    at the last step k that keeps t (u_0 the delta at 0) to t's last read.
-    Cost: the chains are the largest pending targets, each but the lowest
-    two more than G above the one below, so c chains span over (c - 2) G entries
-    above keep: a step costs less than R + 1 + 2G kept entries, any rows.
-    """
-    targets = kappa.values(ns).tolist()
-    n_max = ns[-1]
-    keep = targets[-1] - np.arange(1, n_max + 2)  # R - k - 1: R is the last target
-    i = len(ns) - 1  # the last row within G of the row before it, if any
-    while i > 0 and targets[i] - targets[i - 1] > _CHAIN_GAP:
-        i -= 1
-    if i > 0:  # N_k = targets[i] while row i - 1 is pending
-        np.maximum(keep[: ns[i - 1]], targets[i], out=keep[: ns[i - 1]])
-    j = len(ns)  # rows j.. read chains: t - keep[n] is nondecreasing along the rows
-    while j > 0 and targets[j - 1] > keep[ns[j - 1]]:
-        j -= 1
-    last = dict(zip(targets[j:], ns[j:]))  # each chained target's last row
-    firsts = np.searchsorted(-keep[1:], -np.array(list(last)), side="right")  # keep[k + 1] < t
-    begin: dict[int, list[int]] = {}  # k -> targets whose chains start from u_k
-    for k, t in zip(firsts.tolist(), last):
-        begin.setdefault(k, []).append(t)
-    reads = [None] * (n_max + 1)  # reads[n] = kappa_n at each row n
-    for n, t in zip(ns, targets):
-        reads[n] = t
-    out = []
-    chains: dict[int, float] = {}  # t -> u_k(t), for targets above the kept top
-    sweep = _steps((0,), n_max, keep)
-    for k, laws in itertools.chain([(0, np.ones((1, 1)))], sweep):
-        t = reads[k]
-        if t is not None:
-            out.append((chains.pop(t) if last[t] == k else chains[t]) if t in chains
-                       else laws.item(t, 0) if t < len(laws) else 0.0)
-        if k in begin:
-            for t in begin[k]:
-                chains[t] = laws.item(t, 0) if t < len(laws) else 0.0
-        if chains:
-            p = 1.0 / (k + 1)
-            q = 1.0 - p
-            for t, c in chains.items():
-                v = t - k - 1
-                chains[t] = c * q + (laws.item(v, 0) if 0 <= v < len(laws) else 0.0) * p
-    return out
+    atoms = [(0, n, t, t) for n, t in enumerate(map(kappa, range(1, n_max + 1)), 1)]
+    book = _laws(atoms)
+    return np.array([book[r] for r in atoms])
 
 
 def _chernoff_cap(m: int, n: int, budget: float) -> int:
@@ -456,8 +445,8 @@ def power_sum_scan(n_list: Sequence[int]) -> dict[int, float]:
         raise ValueError("need at least one n")
     if n_list[0] < 1:
         raise ValueError("all n must be >= 1")
-    book = _laws((0, n, _power_sum_cap(n)) for n in n_list)
-    return {n: float(np.dot(law, law)) for (_, n, _), law in book.items()}
+    book = _laws((0, n, 0, _power_sum_cap(n)) for n in n_list)
+    return {n: float(np.dot(law, law)) for (_, n, _, _), law in book.items()}
 
 
 def cov_Y(x_seq: KappaSeq, m: int, n: int) -> float:
@@ -471,37 +460,26 @@ def cov_Y(x_seq: KappaSeq, m: int, n: int) -> float:
     return _covariances(x_seq, [(m, n)])[0]
 
 
-def _cov_atoms(x_seq: KappaSeq, pairs) -> list[tuple[int, int, int]]:
-    """The atoms (m, n, v) that cov_Y reads at the pairs, after checking them.
-
-    P(T_m^n = v) is read from the law capped at v, so each atom is also
-    the request for its law.
-    """
+def _cov_atoms(x_seq: KappaSeq, pairs) -> list[tuple[int, int, int, int]]:
+    """The atom requests (m, n, v, v) that cov_Y reads at the pairs, after checking them."""
     atoms = []
     for m, n in pairs:
         if not (2 <= m <= n):
             raise ValueError(f"need 2 <= m <= n, got m={m}, n={n}")
         km, kn = x_seq(m), x_seq(n)
-        if kn - km < 0:
-            raise ValueError(f"kappa_n - kappa_m = {kn - km} < 0 at m={m}, n={n}")
-        atoms += [(0, m, km)] if m == n else [(0, m, km), (m, n, kn - km), (0, n, kn)]
+        if (d := kn - km) < 0:
+            raise ValueError(f"kappa_n - kappa_m = {d} < 0 at m={m}, n={n}")
+        atoms += [(0, m, km, km)] if m == n else [(0, m, km, km), (m, n, d, d), (0, n, kn, kn)]
     return atoms
 
 
 def _covariances(x_seq: KappaSeq, pairs, book: dict | None = None) -> list[float]:
-    """cov_Y at every (m, n) pair, its atoms read from ``book``.
-
-    The book holds at least the laws ``_cov_atoms`` requests; by default it
-    is built here, all from one DP sweep.
-    """
+    """cov_Y at every (m, n) pair, read from ``book``: one holding the atoms of
+    ``_cov_atoms``, by default built here in one DP sweep."""
     atoms = _cov_atoms(x_seq, pairs)
     if book is None:
         book = _laws(atoms)
-    probs = []
-    for m, n, v in atoms:
-        law = book[m, n, v]
-        probs.append(float(law[v]) if v < len(law) else 0.0)
-    p = iter(probs)
+    p = map(book.__getitem__, atoms)
     out = []
     for m, n in pairs:
         pm = next(p)

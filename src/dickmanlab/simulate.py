@@ -9,7 +9,8 @@ exact integer draw: O(log N) work per path, with no limit on N.
 Streams are counter-based (Philox) and keyed by (seed, path index), so
 any path can be reproduced in isolation and paths never share draws.
 ``_streams`` holds that rule, and every multi-path estimator reads its
-(seed, stream) pairs from it.
+(seed, stream) pairs from it, with one generator per call that each path
+rekeys to its stream.
 """
 from __future__ import annotations
 
@@ -38,7 +39,17 @@ def _rng(seed: int, stream: int) -> np.random.Philox:
     return np.random.Philox(key=[seed, stream])
 
 
-def _walk(kappas, marks, seed: int, stream: int) -> list[list[int]]:
+def _rekey(bits: np.random.Philox, seed: int, stream: int) -> np.random.Philox:
+    """``bits`` in the state of _rng(seed, stream), without the SeedSequence from OS
+    entropy that the constructor draws and drops; the key converts as it does there."""
+    zero = np.zeros(4, dtype=np.uint64)
+    bits.state = {"bit_generator": "Philox", "buffer": zero, "buffer_pos": 4,
+                  "has_uint32": 0, "uinteger": 0,
+                  "state": {"counter": zero, "key": np.asarray([seed, stream]).astype(np.uint64)}}
+    return bits
+
+
+def _walk(kappas, marks, seed: int, stream: int, bits=None) -> list[list[int]]:
     """hits[i][j] = #{n <= marks[j] : T_n = kappas[i](n)} on one path.
 
     After an index k with Z_k = 1 the next one, j, has P(j > i) = k/i, so
@@ -46,8 +57,9 @@ def _walk(kappas, marks, seed: int, stream: int) -> list[list[int]]:
     equal to a, U lies in [a/2^b, (a+1)/2^b), and j is settled once
     k 2^b // (a+1) == k 2^b // a.  On the stretch [k, j) T is constant and,
     kappa being nondecreasing, hits [kappa.first(T), kappa.first(T + 1)).
+    The words come from ``bits`` rekeyed to the stream, or else a new _rng.
     """
-    draw = _rng(seed, stream).random_raw
+    draw = (_rng(seed, stream) if bits is None else _rekey(bits, seed, stream)).random_raw
     firsts = [kappa.first for kappa in kappas]
     hits = [[0] * len(marks) for _ in kappas]
     top = max(marks)
@@ -70,13 +82,15 @@ def _walk(kappas, marks, seed: int, stream: int) -> list[list[int]]:
     return hits
 
 
-def _streams(horizons, seeds) -> list[tuple[int, int]]:
-    """[(seed, i), ...], path i reading stream i of its seed; needs every N >= 2 and a seed."""
+def _streams(horizons, seeds) -> list[tuple[int, int, np.random.Philox]]:
+    """[(seed, i, bits), ...], path i reading stream i of its seed through ``bits``, one
+    generator that ``_walk`` rekeys per path; needs every N >= 2 and a seed."""
     seeds = [int(s) for s in seeds]
     if min(horizons, default=0) < 2 or not seeds:
         raise ValueError(f"need horizons N >= 2 and a seed, got N={list(horizons)} "
                          f"and {len(seeds)} seeds")
-    return [(s, i) for i, s in enumerate(seeds)]
+    bits = _rng(seeds[0], 0)
+    return [(s, i, bits) for i, s in enumerate(seeds)]
 
 
 def simulate_path(kappa: KappaSeq, N: int, seed: int, stream: int = 0) -> PathEstimate:
@@ -89,7 +103,10 @@ def simulate_path(kappa: KappaSeq, N: int, seed: int, stream: int = 0) -> PathEs
 
 def simulate_paths(kappa: KappaSeq, N: int, seeds) -> list[PathEstimate]:
     """One path per seed, path i on stream i of its seed."""
-    return [simulate_path(kappa, N, s, i) for s, i in _streams([N], seeds)]
+    paths = _streams([N], seeds)
+    hits = [_walk([kappa], [N], *path)[0][0] for path in paths]
+    return [PathEstimate(seed=s, N=N, hits=h, log_avg=h / math.log(N))
+            for (s, _, _), h in zip(paths, hits)]
 
 
 def estimate_gamma(N: int, seeds) -> tuple[float, float]:
@@ -113,7 +130,7 @@ def estimate_rho(x: float, N: int, seeds) -> float:
     if x < 1.0:
         raise ValueError(f"ratio estimator needs x >= 1, got {x}")
     kappas = [KappaSeq(x), KappaSeq(1, mode="exact-multiple")]
-    hits = [_walk(kappas, [N], s, i) for s, i in _streams([N], seeds)]
+    hits = [_walk(kappas, [N], *path) for path in _streams([N], seeds)]
     return sum(h[0][0] for h in hits) / sum(h[1][0] for h in hits)
 
 
@@ -121,7 +138,7 @@ def dispersion_diagnostic(x: float, N_list, seeds) -> list[tuple[int, float]]:
     """Across-path standard deviation of the log-average at each horizon."""
     N_list = sorted(set(int(N) for N in N_list))
     kappa = KappaSeq(x)
-    hits = [_walk([kappa], N_list, s, i)[0] for s, i in _streams(N_list, seeds)]
+    hits = [_walk([kappa], N_list, *path)[0] for path in _streams(N_list, seeds)]
     return [(N, float(np.std([h[m] / math.log(N) for h in hits])))
             for m, N in enumerate(N_list)]
 

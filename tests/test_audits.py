@@ -274,6 +274,15 @@ def test_envelope_plans_reject_a_bad_cell(key, table):
         audits.AUDITS[key].plan([(5, 50), (2, 2)], None, table)
 
 
+@pytest.mark.parametrize("m", [0, -1])
+def test_envelopes_check_the_block_before_the_log(m):
+    # log(n/m) read first: m = 0 divided by zero and m = -1 hit a math domain error.
+    with pytest.raises(ValueError, match=r"^need 2 <= m < n"):
+        audits.g_envelope(m, 3)
+    with pytest.raises(ValueError, match=r"^need 2 <= m < n"):
+        audits.chi(m, 3, KappaSeq(1))
+
+
 def test_gamma_kernel_series_per_m_is_the_one_pair_sup():
     pairs = config.stimabase_pairs()
     rows = audits.AUDITS["gamma_kernel"].rows(pairs, None, None)
@@ -317,7 +326,7 @@ def test_one_cell_function_is_its_registry_entry_on_one_cell(key, table):
 
 
 def test_law_book_has_one_entry_per_distinct_request():
-    requests = [(0, 5, None), (2, 9, 4), (0, 5, None), (2, 9, 4), (2, 9, None)]
+    requests = [(0, 5, 0, None), (2, 9, 0, 4), (0, 5, 0, None), (2, 9, 0, 4), (2, 9, 0, None)]
     book = exact_dist._laws(iter(requests))
     assert len(book) == 3 and set(book) == set(requests)
     assert exact_dist._laws([]) == {} and exact_dist._laws(iter(())) == {}

@@ -195,6 +195,11 @@ def test_usage_errors(capsys, tmp_path):
         assert code == 2 and out == "", argv  # an unwritable file or a law too large
         assert err.startswith("error: ") and err.count("\n") == 1, argv
     assert not missing.exists()
+    for argv in (("w2", "--m", "0", "--n", "3"), ("w2", "--m", "-1", "--n", "3")):
+        code = main(list(argv))
+        out, err = capsys.readouterr()
+        assert code == 2 and out == "", argv  # the block is checked before a log reads it
+        assert "need 2 <= m < n" in err, argv
 
 
 def test_aslt_reaches_large_horizons(capsys):

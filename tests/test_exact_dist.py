@@ -15,10 +15,10 @@ from dickmanlab.exact_dist import (
     KappaSeq,
     Pmf,
     _chernoff_cap,
+    _covariances,
     _dickman_tail,
     _kolmogorov_cap,
     _laws,
-    _point_probs,
     _power_sum_cap,
     _steps,
     convolve,
@@ -34,7 +34,7 @@ from dickmanlab.exact_dist import (
 
 def _law(m, n, cap=None):
     """The float law of T_m^n on 0..min(S, cap), as the one-request book holds it."""
-    return _laws([(m, n, cap)])[m, n, cap]
+    return np.atleast_1d(_laws([(m, n, 0, cap)])[m, n, 0, cap])  # cap 0 is an atom, a float
 
 
 def brute_force(n):
@@ -495,7 +495,9 @@ def test_point_probs_are_the_one_block_dp_bit_for_bit(x, mode, ns):
     ns = sorted(set(ns))
     want = one_block_point_probs(kappa, ns[-1])
     assert point_prob_scan(kappa, ns[-1]).tobytes() == want.tobytes()
-    assert np.array(_point_probs(kappa, ns)).tobytes() == want[np.array(ns) - 1].tobytes()
+    book = _laws((0, n, kappa(n), kappa(n)) for n in ns)
+    got = np.array([book[0, n, kappa(n), kappa(n)] for n in ns])
+    assert got.tobytes() == want[np.array(ns) - 1].tobytes()
 
 
 @st.composite
@@ -523,9 +525,9 @@ def law_requests(draw):
 def test_batched_laws_are_the_one_block_laws_bit_for_bit(requests):
     # A book law ends at the sweep's last possibly-nonzero entry; the
     # reference runs to min(S, cap), and everything past the law is 0.0.
-    book = _laws(requests)
+    book = _laws((m, n, 0, cap) for m, n, cap in requests)
     for m, n, cap in requests:
-        law, want = book[m, n, cap], one_block_law(m, n, cap)
+        law, want = np.atleast_1d(book[m, n, 0, cap]), one_block_law(m, n, cap)
         assert law.tobytes() == want[: len(law)].tobytes(), (m, n, cap)
         assert not want[len(law):].any(), (m, n, cap)
 
@@ -551,9 +553,77 @@ def shared_requests(draw):
 @settings(max_examples=80, deadline=None)
 def test_laws_with_a_falling_top_are_each_one_block_law(requests):
     # The top falls to the largest cap still pending; no law read moves.
-    book = _laws(requests)
+    book = _laws((m, n, 0, cap) for m, n, cap in requests)
     for m, n, cap in requests:
-        assert book[m, n, cap].tobytes() == _law(m, n, cap).tobytes(), (m, n, cap)
+        assert np.atleast_1d(book[m, n, 0, cap]).tobytes() == _law(m, n, cap).tobytes(), (m, n, cap)
+
+
+@st.composite
+def read_requests(draw):
+    """Up to 10 requests (m, n, lo, hi), n <= 300, from a pool of starts that holds 0.
+
+    Prefixes, interior windows, whole laws (hi None), atoms in and past the
+    support, and atoms high in their support: far above every other read,
+    so they are carried as chains.
+    """
+    starts = [0] + draw(st.lists(st.integers(1, 299), max_size=3))
+    requests = []
+    for _ in range(draw(st.integers(1, 10))):
+        m = draw(st.sampled_from(starts))
+        n = draw(st.integers(m + 1, 300))
+        S = (n * (n + 1) - m * (m + 1)) // 2
+        lo = draw(st.integers(0, S))
+        requests.append(draw(st.sampled_from([
+            (m, n, 0, draw(st.integers(1, 2 * S + 5))),  # a prefix
+            (m, n, lo, draw(st.integers(lo + 1, S + 10))),  # a window
+            (m, n, draw(st.sampled_from([0, lo])), None),  # the law from lo
+            (m, n, lo, lo),  # an atom
+            (m, n, S + 1 + lo, S + 1 + lo),  # an atom past the support
+            (m, n, S - lo % (n + 1), S - lo % (n + 1)),  # an atom near the top
+        ])))
+    return requests
+
+
+@given(requests=read_requests())
+@example(requests=[(0, 300, 45000, 45000)])  # a chain from the delta at step 0
+@example(requests=[(0, 30, 0, None), (60, 100, 400, 400)])  # the chain starts at m = 60,
+# after step 30, the last that keeps 400
+@example(requests=[(0, 200, 150, 150), (0, 200, 5000, 5000), (0, 250, 9000, 9000),
+                   (7, 250, 9000, 9000), (7, 260, 9001, 9001), (0, 120, 0, None)])  # two columns
+@example(requests=[(0, 100, 3000, 3000), (0, 150, 3000, 3000)])  # one chain, read twice
+@example(requests=[(0, 40, 300, 300), (0, 41, 290, 290), (0, 300, 4000, 4000),
+                   (3, 10, 0, 40), (3, 10, 2, 7), (3, 10, 60, 60), (0, 600, 5, None)])
+@settings(max_examples=60, deadline=None)
+def test_every_request_is_the_one_block_law_bit_for_bit(requests):
+    # Atoms are floats, 0.0 past the law's end; a window is the law's
+    # entries from lo on, cut after a possibly-nonzero entry.
+    book = _laws(requests)
+    assert set(book) == set(requests)
+    laws = {}
+    for m, n, lo, hi in requests:
+        if (m, n) not in laws:
+            laws[m, n] = one_block_law(m, n)
+        law = laws[m, n]
+        got = book[m, n, lo, hi]
+        if lo == hi:
+            want = float(law[lo]) if lo < len(law) else 0.0
+            assert isinstance(got, float) and got.hex() == want.hex(), (m, n, lo)
+        else:
+            want = law[lo : None if hi is None else hi + 1]
+            assert got.base is None and got.tobytes() == want[: len(got)].tobytes(), (m, n, lo, hi)
+            assert not want[len(got) :].any(), (m, n, lo, hi)
+
+
+def test_a_dense_covariance_row_reads_atoms_without_law_copies():
+    # Reading each atom from a law capped at it copied 0..v per atom: this
+    # row peaked at 16 / 62 MB to n = 1000 / 2000 under tracemalloc.
+    tracemalloc.start()
+    try:
+        _covariances(KappaSeq(2), [(10, n) for n in range(11, 4001)])
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert peak < 10 * 2**20
 
 
 @pytest.mark.parametrize("m,n", [(0, 1), (0, 12), (3, 20), (10, 60)])

@@ -273,3 +273,17 @@ def test_empirical_hit_frequency_matches_prob():
     p = prob_at(pmf(0, n), 30)
     sd = math.sqrt(draws * p * (1 - p))
     assert abs(counts[30] - draws * p) < 4 * sd
+
+
+def test_a_rekeyed_generator_draws_the_words_of_a_new_one():
+    # Left mid-buffer and mid-word by 64- and 32-bit draws, then rekeyed.
+    bits = sim._rng(5, 0)
+    bits.random_raw(3)
+    np.random.Generator(bits).integers(0, 2**32, size=3, dtype=np.uint32)
+    for seed, stream in ((5, 0), (7, 3), (2**63, 1), (-1, 2), (np.int64(9), 4)):
+        a, b = sim._rekey(bits, seed, stream), sim._rng(seed, stream)
+        assert a.random_raw(5).tolist() == b.random_raw(5).tolist()
+        ga, gb = np.random.Generator(a), np.random.Generator(b)
+        for draw in (lambda g: g.integers(0, 2**32, size=3, dtype=np.uint32),
+                     lambda g: g.random(4)):
+            assert draw(ga).tolist() == draw(gb).tolist(), (seed, stream)

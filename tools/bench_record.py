@@ -13,10 +13,19 @@ Run from the repository root.  The file holds two parts:
   its command and facts line, with the per-pass times ``pass_s`` cut to
   their count ``passes``.  A run that reports ``correct: false`` stops the
   tool before anything is written.
+- ``host``: per run, ``os.getloadavg()`` just before and after it and the
+  time of ``PROBE``, fixed numpy work that does not use the package, run
+  in a child just before it.  At the top, the medians of the probe and of
+  the 1-minute loads, and ``comparable``: whether this file's medians
+  compare with those of the last file (the BENCH_<n>.json with the largest
+  n below this file's).  They do when both files record host state and
+  their probe medians differ by at most ``PROBE_TOLERANCE``; the loads
+  are there for the reader.
 - ``ledger``: DP sweeps (``exact_dist._steps`` calls), element operations
   and ``item`` reads, counted by ``tools/opcount.py`` for fixed calls: the
-  calibration, ``pmf(0, 600)``, the x = 1 rows of ``large_n_tables`` and
-  each pinned CLI report.  These counts repeat exactly between runs, so two
+  calibration, ``pmf(0, 600)``, the x = 1 rows of ``large_n_tables``, a
+  dense covariance row (x = 2, m = 10, every n to 2000) and each pinned
+  CLI report.  These counts repeat exactly between runs, so two
   files' ledgers diff to the cost change between their commits.
 
 The workloads run before this process imports numpy or the package: on
@@ -30,6 +39,8 @@ import contextlib
 import hashlib
 import io
 import json
+import os
+import re
 import statistics
 import subprocess
 import sys
@@ -37,6 +48,28 @@ from pathlib import Path
 
 ROOT = Path(__file__).resolve().parents[1]
 sys.path[:0] = [str(ROOT / "src"), str(ROOT / "perfbench")]
+
+# Fixed numpy work, about 17 ms a timing on 2 CPUs: many small ufunc calls,
+# as in a DP step, and passes over a 4 MB array.  It prints the median of 5.
+PROBE = """
+import statistics, time
+import numpy as np
+def once(small=np.ones(1000), big=np.ones(1 << 19)):
+    t = time.perf_counter()
+    for _ in range(2000):
+        small *= 0.5; small += 0.5
+    for _ in range(20):
+        big *= 0.5; big += 0.5
+    return time.perf_counter() - t
+print(statistics.median(once() for _ in range(5)))
+"""
+PROBE_TOLERANCE = 0.10  # the largest relative gap between two files' probe medians
+
+
+def probe() -> float:
+    """Seconds of one ``PROBE`` run, in a child of its own."""
+    out = subprocess.run([sys.executable, "-c", PROBE], capture_output=True, text=True, check=True)
+    return float(out.stdout)
 
 
 def summarize(results: list[dict]) -> dict:
@@ -53,14 +86,16 @@ def summarize(results: list[dict]) -> dict:
 def run_workload(command: list[str], workload: str, seed: int, seconds: float) -> dict:
     argv = [*command, "--workload", workload, "--seed", str(seed),
             "--seconds", str(seconds), "--trace", "0"]
+    host = {"probe_s": probe(), "load_before": list(os.getloadavg())}
     proc = subprocess.run(argv, cwd=ROOT, capture_output=True, text=True, check=True)
+    host["load_after"] = list(os.getloadavg())
     facts_line, result_line = proc.stdout.splitlines()[-2:]
     facts, result = json.loads(facts_line)["facts"], json.loads(result_line)
     if not result["correct"]:
         raise SystemExit(f"bench_record: {' '.join(argv)} failed {result['failed']} "
                          f"of {result['attempted']} checks: {facts['failed_checks']}")
     facts["passes"] = len(facts.pop("pass_s"))
-    return {"command": argv, "facts": facts, "result": result}
+    return {"command": argv, "facts": facts, "result": result, "host": host}
 
 
 def record_workloads(bench: dict, seeds: list[int], seconds: float) -> dict:
@@ -72,8 +107,43 @@ def record_workloads(bench: dict, seeds: list[int], seconds: float) -> dict:
             runs[name].append(run_workload(bench["command"], name, seed, seconds))
     return {name: {"metrics": summarize([r["result"] for r in rs]),
                    "runs": [{"seed": r["facts"]["seed"], "command": r["command"],
-                             "facts": r["facts"]} for r in rs]}
+                             "facts": r["facts"], "host": r["host"]} for r in rs]}
             for name, rs in runs.items()}
+
+
+def host_summary(workloads: dict) -> dict:
+    """Medians of the probe times and of the 1-minute loads over every run."""
+    hosts = [run["host"] for w in workloads.values() for run in w["runs"]]
+    return {"probe_s": statistics.median(h["probe_s"] for h in hosts),
+            "load_1m": statistics.median(h[k][0] for h in hosts
+                                         for k in ("load_before", "load_after")),
+            "cpus": os.cpu_count()}
+
+
+def previous(out: Path) -> Path | None:
+    """The BENCH_<n>.json beside ``out`` with the largest n below its own, if any."""
+    def number(path: Path):
+        found = re.fullmatch(r"BENCH_(\d+)\.json", path.name)
+        return int(found[1]) if found else None
+
+    mine = number(out)
+    older = [p for p in out.parent.glob("BENCH_*.json")
+             if number(p) is not None and (mine is None or number(p) < mine)]
+    return max(older, key=number, default=None)
+
+
+def comparability(host: dict, last: dict | None, name: str | None) -> dict:
+    """Whether medians under ``host`` compare with those of the file ``last``, and why."""
+    if last is None:
+        return {"with": None, "comparable": False, "why": "no earlier file"}
+    if "host" not in last:
+        return {"with": name, "comparable": False, "why": f"{name} records no host state"}
+    ratio = host["probe_s"] / last["host"]["probe_s"]
+    ok = abs(ratio - 1.0) <= PROBE_TOLERANCE
+    return {"with": name, "comparable": ok, "probe_ratio": ratio,
+            "why": f"probe medians {'within' if ok else 'beyond'} {PROBE_TOLERANCE:.0%} "
+                   f"(ratio {ratio:.3f}); median 1-minute loads {host['load_1m']:.2f} "
+                   f"and {last['host']['load_1m']:.2f}"}
 
 
 def count(call) -> dict:
@@ -117,6 +187,8 @@ def ledger() -> dict:
         "pmf(0, 600)": lambda: exact_dist.pmf(0, 600),
         "large_n_tables llt_table x=1": lambda: audits.llt_table(
             exact_dist.KappaSeq(1, mode="exact-multiple"), LLT1_N, table),
+        "dense cov row x=2 m=10 to 2000": lambda: exact_dist._covariances(
+            exact_dist.KappaSeq(2), [(10, n) for n in range(11, 2001)]),
     }
     for argv in CLI_COMMANDS:
         key = " ".join(argv)
@@ -134,9 +206,15 @@ def main(argv=None) -> int:
         ap.error("--seeds needs at least 2 runs for an interquartile range")
 
     seeds, seconds = list(range(1, args.seeds + 1)), bench["run_seconds"]
-    doc = {"seeds": seeds, "seconds": seconds,
-           "workloads": record_workloads(bench, seeds, seconds), "ledger": ledger()}
-    Path(args.out).write_text(json.dumps(doc, indent=1) + "\n")
+    workloads = record_workloads(bench, seeds, seconds)
+    host = host_summary(workloads)
+    out = Path(args.out)
+    last = previous(out)
+    doc = {"seeds": seeds, "seconds": seconds, "host": host,
+           "comparable": comparability(host, last and json.loads(last.read_text()),
+                                       last and last.name),
+           "workloads": workloads, "ledger": ledger()}
+    out.write_text(json.dumps(doc, indent=1) + "\n")
     return 0
 
 
