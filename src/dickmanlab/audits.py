@@ -4,9 +4,9 @@ Every left-hand side here comes from the exact DP distributions, never
 from simulation.  Each audit reports AuditRow tuples (identifiers, lhs and
 envelope, with the ratio derived).  AUDITS holds one record per golden
 constant: its default grid from config, how it plans its rows and the
-solver for the smallest constant making the bound hold there.
-``calibrate`` reads the rows and constants of any set of them;
-run_calibration and the CLI's golden gate both go through it.
+solver for the smallest constant making the bound hold there; ``grid_hash``
+stamps that constant.  ``calibrate`` reads the rows and constants of any
+set of them; run_calibration and the CLI's golden gate both go through it.
 
 Audits plan, then read.  An audit's plan validates its cells and states
 every DP entry its rows read as an (m, n, lo, hi) request; one ``_laws``
@@ -21,6 +21,8 @@ that invert them.
 from __future__ import annotations
 
 import functools
+import hashlib
+import json
 import math
 from dataclasses import dataclass
 from typing import Callable, NamedTuple
@@ -118,17 +120,18 @@ def _stimabase_plan(pairs, kappa, table):
     return requests, read
 
 
-def _w1_plan(pairs, kappa, table):
+def _w1_plan(t_points: int, t_span: float, pairs, kappa, table):
     """|phi_{T/(n-m)}(t) - phi(t)| against the f envelope at every pair, in order.
 
-    phi_dickman is evaluated once per t for all pairs.
+    The t grid is t_points points on [-t_span, t_span]; phi_dickman is
+    evaluated once per t for all pairs.
     """
     pairs = list(pairs)
     for m, n in pairs:
         _bracket(m, n)  # a bad cell fails here, before any row is read
 
     def read(book) -> list[AuditRow]:
-        ts = np.linspace(-config.W1_T_SPAN, config.W1_T_SPAN, config.W1_T_POINTS)
+        ts = np.linspace(-t_span, t_span, t_points)
         cf = [phi_dickman(float(t)) for t in ts]
         rows = []
         for m, n in pairs:
@@ -248,16 +251,16 @@ def _cov_plan(regime: str, pairs, kappa: KappaSeq, table):
     return _cov_atoms(kappa, pairs), read
 
 
-def gamma_kernel_sup(m: int, n: int, u_points: int = 10001) -> float:
+def gamma_kernel_sup(m: int, n: int, u_points: int = config.GAMMA_U_POINTS) -> float:
     """sup over u_j = pi j/(u_points-1) of |gamma_{m,n}(u)| (n-m)/(1 + log(n/m)).
 
     The grid covers [0, pi], which suffices because |gamma(-u)| = |gamma(u)|.
     """
-    _, read = _gamma_kernel_plan([(m, n)], None, None, u_points)
+    _, read = _gamma_kernel_plan(u_points, [(m, n)], None, None)
     return read({})[0].lhs
 
 
-def _gamma_kernel_plan(pairs, kappa, table, u_points: int = 10001):
+def _gamma_kernel_plan(u_points: int, pairs, kappa, table):
     """gamma_kernel_sup at every pair, from one coefficient series per m."""
     pairs = list(pairs)
 
@@ -339,9 +342,11 @@ class Audit:
     ``pairs(x)`` is the default (m, n) grid at slope x.  ``plan(pairs,
     kappa, table)`` validates those cells and returns (requests, read):
     the (m, n, lo, hi) requests its rows need, and the reader of the rows
-    from a book holding them.  ``solve(rows)`` is the smallest constant
-    making the bound hold on them.  The f and g constants sit inside an exp, so
-    they are solved pointwise (the envelopes are increasing in C); purely
+    from a book holding them; the sub-grid a reader sweeps inside each cell
+    (w1's t, the gamma kernel's u) is bound into its plan, as a covariance
+    regime is.  ``solve(rows)`` is the smallest constant making the bound
+    hold on them.  The f and g constants sit inside an exp, so they are
+    solved pointwise (the envelopes are increasing in C); purely
     multiplicative constants are ratio maxima.  The golden constant is the
     largest solve over ``slopes``.
     """
@@ -365,9 +370,11 @@ def _cov_audit(regime: str, grid) -> Audit:
 
 AUDITS: dict[str, Audit] = {a.key: a for a in (
     Audit("stimabase", lambda x: config.stimabase_pairs(), _stimabase_plan, _max_ratio),
-    Audit("w1", lambda x: config.W1_PAIRS, _w1_plan, _solve_w1),
+    Audit("w1", lambda x: config.W1_PAIRS,
+          functools.partial(_w1_plan, config.W1_T_POINTS, config.W1_T_SPAN), _solve_w1),
     Audit("w2", lambda x: config.W2_PAIRS, _w2_plan, _solve_w2),
-    Audit("gamma_kernel", lambda x: config.stimabase_pairs(), _gamma_kernel_plan, _max_ratio),
+    Audit("gamma_kernel", lambda x: config.stimabase_pairs(),
+          functools.partial(_gamma_kernel_plan, config.GAMMA_U_POINTS), _max_ratio),
     _cov_audit("diag", lambda x: config.cov_diag_pairs()),
     _cov_audit("near", cov_near_pairs),
     _cov_audit("far", lambda x: config.cov_far_pairs()),
@@ -395,30 +402,43 @@ def run_calibration(table: RhoTable) -> dict[str, float]:
     return {key: c for key, (c, _) in calibrate(AUDITS.values(), table).items()}
 
 
+def grid_hash(key: str) -> str:
+    """The golden stamp of one audit: 16 hex digits of the sha256 of its key, its
+    pairs at each of its slopes and the arguments bound into its plan (the sub-grid
+    its reader sweeps inside a cell, or a covariance regime)."""
+    a = AUDITS[key]
+    bound = getattr(a.plan, "args", ())
+    blob = json.dumps([key, [[x, a.pairs(x)] for x in a.slopes], bound], separators=(",", ":"))
+    return hashlib.sha256(blob.encode()).hexdigest()[:16]
+
+
 def record_golden(name: str, constant: float, path=None) -> None:
-    """Store one constant with the current grid hash; other entries stay as stored."""
+    """Store one constant with its audit's stamp; other entries stay as stored."""
     try:
         stored = config.load_golden(path)
     except FileNotFoundError:
         stored = {}
-    stored[name] = {"constant": float(constant), "grid_hash": config.grid_hash()}
+    stored[name] = {"constant": float(constant), "grid_hash": grid_hash(name)}
     config.save_golden(stored, path)
 
 
 def check_golden(computed: dict[str, float], golden: dict) -> list[str]:
     """Regressions of computed constants against the golden record.
 
-    A constant regresses past stored * (1 + 1e-9) + 1e-15.  Returns
-    human-readable problem strings; empty means clean.
+    Each entry must carry its own audit's stamp, and a constant regresses
+    past stored * (1 + 1e-9) + 1e-15.  Returns human-readable problem
+    strings; empty means clean.
     """
     problems = []
-    want_hash = config.grid_hash()
     for name, value in sorted(computed.items()):
+        if name not in AUDITS:
+            problems.append(f"{name}: no audit has this name")
+            continue
         entry = golden.get(name)
         if entry is None:
             problems.append(f"{name}: missing from golden file")
             continue
-        if entry.get("grid_hash") != want_hash:
+        if entry.get("grid_hash") != grid_hash(name):
             problems.append(f"{name}: grid hash mismatch (grids changed?)")
             continue
         stored = entry["constant"]

@@ -1,16 +1,17 @@
-"""Versioned audit grids and golden-file handling.
+"""Audit grids, two CLI defaults and golden-file handling.
 
-The grids below are part of the calibration contract: the constants in
-the golden file were recorded on exactly these grids, and the grid hash
-stored next to each constant detects silent grid edits.  Change a grid
-and the golden file must be regenerated explicitly.
+The calibration grids below are part of the calibration contract: each
+golden constant was recorded on exactly its audit's grids.  Each entry of
+``audits.AUDITS`` reads its grid from here, and ``audits.grid_hash(key)``
+stamps its constant with a hash of what that audit reads, so a grid edit
+invalidates only the constants of the audits that read it; regenerate
+those explicitly.  ``LLT_N_LIST`` and ``ZS_N_LIST`` are CLI defaults that
+no constant reads, and no stamp covers them.
 """
 from __future__ import annotations
 
 import json
 from pathlib import Path
-
-GRID_VERSION = 1
 
 # Local-limit-theorem error sequence (n-doubling).
 LLT_N_LIST = (125, 250, 500, 1000, 2000)
@@ -39,6 +40,9 @@ W1_PAIRS = ((2, 10), (5, 50), (10, 100), (20, 400))
 W1_T_POINTS = 41
 W1_T_SPAN = 5.0
 
+# Gamma-kernel audit: the u points on [0, pi] swept in each cell.
+GAMMA_U_POINTS = 10001
+
 # Kolmogorov-distance audit pairs.
 W2_PAIRS = ((2, 40), (2, 400), (5, 50), (10, 200), (20, 400))
 
@@ -64,30 +68,6 @@ def cov_far_pairs() -> list[tuple[int, int]]:
     return sorted(set(pairs))
 
 
-def grid_descriptor() -> dict:
-    """Canonical description of every calibration grid, for hashing."""
-    return {
-        "version": GRID_VERSION,
-        "llt_n": list(LLT_N_LIST),
-        "zs_n": list(ZS_N_LIST),
-        "stimabase": stimabase_pairs(),
-        "w1_pairs": [list(p) for p in W1_PAIRS],
-        "w1_t": [W1_T_POINTS, W1_T_SPAN],
-        "w2_pairs": [list(p) for p in W2_PAIRS],
-        "cov_m": list(COV_M),
-        "cov_x": list(COV_X),
-        "cov_far": cov_far_pairs(),
-        "cov_eps": COV_EPS,
-    }
-
-
-def grid_hash() -> str:
-    import hashlib
-
-    blob = json.dumps(grid_descriptor(), sort_keys=True, separators=(",", ":"))
-    return hashlib.sha256(blob.encode()).hexdigest()[:16]
-
-
 def golden_path():
     from importlib import resources
 
@@ -102,7 +82,7 @@ def load_golden(path=None) -> dict:
 
 
 def save_golden(entries: dict, path=None) -> None:
-    """Write the entries as given, hashes included; the only mutation path.
+    """Write the entries as given, stamps included; the only mutation path.
 
     ``path`` defaults to the packaged file.
     """

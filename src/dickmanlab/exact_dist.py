@@ -255,10 +255,7 @@ def _laws(requests: Iterable[tuple[int, int, int, int | None]]) -> dict[tuple, f
         while when[j] == k:
             m, _, lo, hi = r = read[j]
             if lo != hi:
-                law = laws[lo : tops[j] + 1, column[m]]
-                # np.array drops an ndarray subclass: tools/opcount.py's pinned ledger
-                # leaves the reads of the laws a sweep ends on uncounted.
-                book[r] = np.array(law) if k == n_max else law.copy()
+                book[r] = np.array(laws[lo : tops[j] + 1, column[m]])
             elif (key := lo * width + column[m]) in chains:
                 book[r] = chains.pop(key) if last[key] == k else chains[key]
             else:

@@ -49,7 +49,7 @@ def _rekey(bits: np.random.Philox, seed: int, stream: int) -> np.random.Philox:
     return bits
 
 
-def _walk(kappas, marks, seed: int, stream: int, bits=None) -> list[list[int]]:
+def _walk(kappas, marks, bits: np.random.Philox) -> list[list[int]]:
     """hits[i][j] = #{n <= marks[j] : T_n = kappas[i](n)} on one path.
 
     After an index k with Z_k = 1 the next one, j, has P(j > i) = k/i, so
@@ -57,9 +57,10 @@ def _walk(kappas, marks, seed: int, stream: int, bits=None) -> list[list[int]]:
     equal to a, U lies in [a/2^b, (a+1)/2^b), and j is settled once
     k 2^b // (a+1) == k 2^b // a.  On the stretch [k, j) T is constant and,
     kappa being nondecreasing, hits [kappa.first(T), kappa.first(T + 1)).
-    The words come from ``bits`` rekeyed to the stream, or else a new _rng.
+    The words come from ``bits``, the path's generator: _rng(seed, stream)
+    or one _rekey-ed to it.
     """
-    draw = (_rng(seed, stream) if bits is None else _rekey(bits, seed, stream)).random_raw
+    draw = bits.random_raw
     firsts = [kappa.first for kappa in kappas]
     hits = [[0] * len(marks) for _ in kappas]
     top = max(marks)
@@ -82,31 +83,31 @@ def _walk(kappas, marks, seed: int, stream: int, bits=None) -> list[list[int]]:
     return hits
 
 
-def _streams(horizons, seeds) -> list[tuple[int, int, np.random.Philox]]:
-    """[(seed, i, bits), ...], path i reading stream i of its seed through ``bits``, one
-    generator that ``_walk`` rekeys per path; needs every N >= 2 and a seed."""
+def _streams(horizons, seeds) -> list[tuple[np.random.Philox, int, int]]:
+    """[(bits, seed, i), ...], path i reading stream i of its seed through ``bits``, one
+    generator that each path's ``_rekey`` moves to its stream; needs every N >= 2 and a seed."""
     seeds = [int(s) for s in seeds]
     if min(horizons, default=0) < 2 or not seeds:
         raise ValueError(f"need horizons N >= 2 and a seed, got N={list(horizons)} "
                          f"and {len(seeds)} seeds")
     bits = _rng(seeds[0], 0)
-    return [(s, i, bits) for i, s in enumerate(seeds)]
+    return [(bits, s, i) for i, s in enumerate(seeds)]
 
 
 def simulate_path(kappa: KappaSeq, N: int, seed: int, stream: int = 0) -> PathEstimate:
     """Simulate one path of length N and return its hit count and log-average."""
     if N < 2:
         raise ValueError(f"need N >= 2, got {N}")
-    hits = _walk([kappa], [N], seed, stream)[0][0]
+    hits = _walk([kappa], [N], _rng(seed, stream))[0][0]
     return PathEstimate(seed=seed, N=N, hits=hits, log_avg=hits / math.log(N))
 
 
 def simulate_paths(kappa: KappaSeq, N: int, seeds) -> list[PathEstimate]:
     """One path per seed, path i on stream i of its seed."""
     paths = _streams([N], seeds)
-    hits = [_walk([kappa], [N], *path)[0][0] for path in paths]
+    hits = [_walk([kappa], [N], _rekey(*path))[0][0] for path in paths]
     return [PathEstimate(seed=s, N=N, hits=h, log_avg=h / math.log(N))
-            for (s, _, _), h in zip(paths, hits)]
+            for (_, s, _), h in zip(paths, hits)]
 
 
 def estimate_gamma(N: int, seeds) -> tuple[float, float]:
@@ -130,7 +131,7 @@ def estimate_rho(x: float, N: int, seeds) -> float:
     if x < 1.0:
         raise ValueError(f"ratio estimator needs x >= 1, got {x}")
     kappas = [KappaSeq(x), KappaSeq(1, mode="exact-multiple")]
-    hits = [_walk(kappas, [N], *path) for path in _streams([N], seeds)]
+    hits = [_walk(kappas, [N], _rekey(*path)) for path in _streams([N], seeds)]
     return sum(h[0][0] for h in hits) / sum(h[1][0] for h in hits)
 
 
@@ -138,7 +139,7 @@ def dispersion_diagnostic(x: float, N_list, seeds) -> list[tuple[int, float]]:
     """Across-path standard deviation of the log-average at each horizon."""
     N_list = sorted(set(int(N) for N in N_list))
     kappa = KappaSeq(x)
-    hits = [_walk([kappa], N_list, *path)[0] for path in _streams(N_list, seeds)]
+    hits = [_walk([kappa], N_list, _rekey(*path))[0] for path in _streams(N_list, seeds)]
     return [(N, float(np.std([h[m] / math.log(N) for h in hits])))
             for m, N in enumerate(N_list)]
 

@@ -1,3 +1,4 @@
+import dataclasses
 import functools
 import math
 import tracemalloc
@@ -172,12 +173,59 @@ def test_golden_constants_no_regression(table):
 
 
 def test_check_golden_detects_problems():
-    golden = {"a": {"constant": 1.0, "grid_hash": config.grid_hash()}}
-    assert audits.check_golden({"a": 2.0}, golden)
-    assert audits.check_golden({"b": 1.0}, golden)
-    stale = {"a": {"constant": 1.0, "grid_hash": "feedbeef"}}
-    assert audits.check_golden({"a": 0.5}, stale)
-    assert audits.check_golden({"a": 0.5}, golden) == []
+    golden = {"w2": {"constant": 1.0, "grid_hash": audits.grid_hash("w2")}}
+    assert audits.check_golden({"w2": 2.0}, golden)
+    assert audits.check_golden({"w1": 1.0}, golden) == ["w1: missing from golden file"]
+    stale = {"w2": {"constant": 1.0, "grid_hash": "feedbeef"}}
+    assert audits.check_golden({"w2": 0.5}, stale)
+    assert audits.check_golden({"w2": 0.5}, golden) == []
+
+
+def test_check_golden_reports_a_name_no_audit_has():
+    golden = {"a": {"constant": 1.0, "grid_hash": "feedbeef"}}
+    assert audits.check_golden({"a": 0.5, "b": 0.5}, golden) == [
+        "a: no audit has this name", "b: no audit has this name"]
+
+
+def _stamps():
+    return {key: audits.grid_hash(key) for key in audits.AUDITS}
+
+
+@pytest.mark.parametrize("name", ["LLT_N_LIST", "ZS_N_LIST"])
+def test_cli_defaults_move_no_stamp(monkeypatch, name):
+    before = _stamps()
+    monkeypatch.setattr(config, name, (*getattr(config, name), 4000))
+    assert _stamps() == before
+
+
+def _replan(monkeypatch, key, plan, *grid):
+    """The registry entry ``key`` with another sub-grid bound into its plan."""
+    audit = dataclasses.replace(audits.AUDITS[key], plan=functools.partial(plan, *grid))
+    monkeypatch.setitem(audits.AUDITS, key, audit)
+    return audit
+
+
+@pytest.mark.parametrize("key, edit", [
+    ("w2", lambda mp: mp.setattr(config, "W2_PAIRS", (*config.W2_PAIRS, (2, 80)))),
+    ("stimabase", lambda mp: mp.setattr(config, "STIMABASE_N_CAP", 900)),
+    ("gamma_kernel", lambda mp: _replan(mp, "gamma_kernel", audits._gamma_kernel_plan, 5001)),
+    ("w1", lambda mp: _replan(mp, "w1", audits._w1_plan, 81, 5.0)),
+    ("cov_near", lambda mp: mp.setattr(config, "COV_EPS", 0.1)),
+])
+def test_a_grid_edit_moves_only_its_readers_stamps(monkeypatch, key, edit):
+    before = _stamps()
+    edit(monkeypatch)
+    after = _stamps()
+    # The stimabase pairs are the gamma kernel's cells too.
+    moved = {"stimabase": {"stimabase", "gamma_kernel"}}.get(key, {key})
+    assert {k for k in before if before[k] != after[k]} == moved
+
+
+def test_gamma_kernel_sup_reads_the_registrys_sub_grid(monkeypatch):
+    default = audits.AUDITS["gamma_kernel"].rows([(2, 10)], None, None)[0].lhs
+    assert default == audits.gamma_kernel_sup(2, 10)
+    audit = _replan(monkeypatch, "gamma_kernel", audits._gamma_kernel_plan, 11)
+    assert audit.rows([(2, 10)], None, None)[0].lhs == audits.gamma_kernel_sup(2, 10, 11)
 
 
 def test_audit_laws_stop_where_their_reads_do(monkeypatch, table):

@@ -28,8 +28,6 @@ def _canned(monkeypatch, result):
     monkeypatch.setattr(subprocess, "run",
                         lambda argv, **kw: types.SimpleNamespace(stdout=stdout, returncode=0))
     monkeypatch.setattr(bench_record, "probe", lambda: 0.017)
-    loads = iter([(0.5, 0.4, 0.3), (1.5, 0.6, 0.35)])
-    monkeypatch.setattr(bench_record.os, "getloadavg", lambda: next(loads))
 
 
 def test_a_run_keeps_its_command_and_facts(monkeypatch):
@@ -38,29 +36,24 @@ def test_a_run_keeps_its_command_and_facts(monkeypatch):
     assert run["command"] == ["python3", "perfbench/run.py", "--workload", "calibration",
                               "--seed", "7", "--seconds", "2.0", "--trace", "0"]
     assert run["facts"]["passes"] == 3 and "pass_s" not in run["facts"]
-    assert run["host"] == {"probe_s": 0.017, "load_before": [0.5, 0.4, 0.3],
-                           "load_after": [1.5, 0.6, 0.35]}
+    assert run["host"] == {"probe_s": 0.017}
 
 
 def _host_runs(*hosts):
     return {"calibration": {"runs": [{"host": h} for h in hosts]}}
 
 
-def test_host_summary_is_the_median_probe_and_1m_load():
+def test_host_summary_is_the_median_probe():
     got = bench_record.host_summary(_host_runs(
-        {"probe_s": 0.02, "load_before": [0.5, 0, 0], "load_after": [1.5, 0, 0]},
-        {"probe_s": 0.01, "load_before": [0.25, 0, 0], "load_after": [2.0, 0, 0]},
-        {"probe_s": 0.04, "load_before": [1.0, 0, 0], "load_after": [3.0, 0, 0]}))
-    assert got["probe_s"] == 0.02 and got["load_1m"] == 1.25
+        {"probe_s": 0.02}, {"probe_s": 0.01}, {"probe_s": 0.04}))
+    assert got["probe_s"] == 0.02
 
 
 def test_medians_compare_only_with_a_file_of_a_like_host():
-    host = {"probe_s": 0.0200, "load_1m": 0.5}
-    within = bench_record.comparability(host, {"host": {"probe_s": 0.0185, "load_1m": 1.0}},
-                                        "BENCH_25.json")
+    host = {"probe_s": 0.0200}
+    within = bench_record.comparability(host, {"host": {"probe_s": 0.0185}}, "BENCH_25.json")
     assert within["with"] == "BENCH_25.json" and within["comparable"]
-    beyond = bench_record.comparability(host, {"host": {"probe_s": 0.0170, "load_1m": 1.0}},
-                                        "BENCH_25.json")
+    beyond = bench_record.comparability(host, {"host": {"probe_s": 0.0170}}, "BENCH_25.json")
     assert not beyond["comparable"] and beyond["probe_ratio"] > 1.1
     blind = bench_record.comparability(host, {"ledger": {}}, "BENCH_25.json")
     assert not blind["comparable"] and "no host state" in blind["why"]

@@ -120,9 +120,20 @@ def test_golden_regenerate_rewrites_only_its_constant(tmp_path, monkeypatch, cap
     assert code == 0
     stored = json.loads(path.read_text())
     assert stored["cov_far"] == golden["cov_far"]
-    assert stored["cov_diag"]["grid_hash"] == config.grid_hash()
+    assert stored["cov_diag"]["grid_hash"] == audits.grid_hash("cov_diag")
     code, _ = run(capsys, "cov-audit", "--regime", "far", "--golden", "check")
     assert code == 1  # the stale entry still fails its hash check
+
+
+def test_a_grid_edit_fails_only_its_own_audits_golden_check(monkeypatch, capsys):
+    # Editing W2_PAIRS leaves the stored w2 stamp stale; every other
+    # audit's stamp covers none of it, so their checks still pass.
+    monkeypatch.setattr(config, "W2_PAIRS", config.W2_PAIRS[:-1])
+    code = main(["w2", "--golden", "check"])
+    assert code == 1
+    assert capsys.readouterr().err == "golden regression: w2: grid hash mismatch (grids changed?)\n"
+    code, _ = run(capsys, "cov-audit", "--regime", "diag", "--golden", "check")
+    assert code == 0
 
 
 def test_golden_file_is_where_regenerate_writes_and_check_reads(tmp_path, capsys):
@@ -133,7 +144,7 @@ def test_golden_file_is_where_regenerate_writes_and_check_reads(tmp_path, capsys
     assert code == 0
     assert Path(str(config.golden_path())).read_bytes() == packaged
     assert json.loads(path.read_text()) == {
-        "cov_diag": {"constant": 2.0 / 3.0, "grid_hash": config.grid_hash()}}
+        "cov_diag": {"constant": 2.0 / 3.0, "grid_hash": audits.grid_hash("cov_diag")}}
     code, _ = run(capsys, "cov-audit", "--regime", "diag", "--golden", "check",
                   "--golden-file", str(path))
     assert code == 0

@@ -19,7 +19,7 @@ def test_first_step_always_hits():
     # Z_1 is deterministic, so T_1 = 1 = kappa_1 on every path
     est = sim.simulate_path(KAPPA1, 2, seed=5)
     assert est.hits >= 1
-    assert sim._walk([KAPPA1], [1], 5, 0) == [[1]]  # a mark counts n <= mark
+    assert sim._walk([KAPPA1], [1], sim._rng(5, 0)) == [[1]]  # a mark counts n <= mark
 
 
 def test_determinism():
@@ -53,9 +53,9 @@ def test_simulate_paths_reads_stream_i_of_seed_i():
 
 
 def test_walk_marks_are_prefix_counts():
-    marks = sim._walk([KAPPA1], [10_000, 300_000], 11, 0)[0]
-    assert marks[0] == sim._walk([KAPPA1], [10_000], 11, 0)[0][0]
-    assert marks[1] == sim._walk([KAPPA1], [300_000], 11, 0)[0][0]
+    marks = sim._walk([KAPPA1], [10_000, 300_000], sim._rng(11, 0))[0]
+    assert marks[0] == sim._walk([KAPPA1], [10_000], sim._rng(11, 0))[0][0]
+    assert marks[1] == sim._walk([KAPPA1], [300_000], sim._rng(11, 0))[0][0]
 
 
 def test_walk_mean_hits_match_exact_dp():
@@ -63,7 +63,7 @@ def test_walk_mean_hits_match_exact_dp():
     N, paths = 20_000, 2000
     kappas = [KAPPA1, KappaSeq(2), KappaSeq(Fraction(3, 2)), KappaSeq(Fraction(2, 3)),
               KappaSeq(Fraction(5, 4), mode="round")]
-    hits = np.array([[row[0] for row in sim._walk(kappas, [N], 99, i)]
+    hits = np.array([[row[0] for row in sim._walk(kappas, [N], sim._rng(99, i))]
                      for i in range(paths)])
     for kappa, col in zip(kappas, hits.T):
         want = float(point_prob_scan(kappa, N).sum())
@@ -87,9 +87,8 @@ class ScriptedBits:
     [0, 2**128 // 3000 - 1],  # U < 2^-64: the first word settles nothing
     [2**53, 1],  # 2^64 / 2^53 = 2048 is a floor boundary
 ])
-def test_walk_draws_another_word_until_the_gap_is_settled(monkeypatch, words):
+def test_walk_draws_another_word_until_the_gap_is_settled(words):
     bits = ScriptedBits(words)
-    monkeypatch.setattr(sim, "_rng", lambda seed, stream: bits)
     a = (words[0] << 64) | words[1]
     j = (1 << 128) // a + 1
     assert j == (1 << 128) // (a + 1) + 1
@@ -97,13 +96,12 @@ def test_walk_draws_another_word_until_the_gap_is_settled(monkeypatch, words):
     # of T = 1 on its stretch [1, j) read off j.  Both words go to that
     # gap; one all-ones word then steps past the mark j, with T > 2000.
     assert 2000 <= j < 4000
-    assert sim._walk([KappaSeq(Fraction(1, 2000))], [j], 0, 0) == [[j - 2000]]
+    assert sim._walk([KappaSeq(Fraction(1, 2000))], [j], bits) == [[j - 2000]]
     assert bits.drawn == 3
 
 
-def _reference_walk(kappas, marks, seed, stream):
+def _reference_walk(kappas, marks, bits):
     """The jump walk as first written, one kappa.first pair per stretch and kappa."""
-    bits = sim._rng(seed, stream)
     hits = [[0] * len(marks) for _ in kappas]
     k = T = 1
     while k <= max(marks):
@@ -132,18 +130,9 @@ class CountedBits:
 
 
 def _counted(walk, kappas, marks, seed, stream):
-    """(hits, words drawn) of one walk, its stream read through sim._rng."""
-    streams = []
-    rng = sim._rng
-
-    def counting_rng(seed, stream):
-        streams.append(CountedBits(rng(seed, stream)))
-        return streams[-1]
-
-    with pytest.MonkeyPatch.context() as mp:
-        mp.setattr(sim, "_rng", counting_rng)
-        hits = walk(kappas, marks, seed, stream)
-    return hits, sum(b.drawn for b in streams)
+    """(hits, words drawn) of one walk on sim._rng(seed, stream)."""
+    bits = CountedBits(sim._rng(seed, stream))
+    return walk(kappas, marks, bits), bits.drawn
 
 
 _SLOPES = st.one_of(st.builds(Fraction, st.integers(1, 50), st.integers(1, 50)),
@@ -165,7 +154,7 @@ def test_walk_rejects_a_non_integer_exact_multiple():
     kappa = KappaSeq(Fraction(3, 2), mode="exact-multiple")
     for walk in (sim._walk, _reference_walk):
         with pytest.raises(ValueError):
-            walk([KAPPA1, kappa], [1000], 1, 0)
+            walk([KAPPA1, kappa], [1000], sim._rng(1, 0))
 
 
 def test_estimate_gamma_near_truth():

@@ -13,14 +13,12 @@ Run from the repository root.  The file holds two parts:
   its command and facts line, with the per-pass times ``pass_s`` cut to
   their count ``passes``.  A run that reports ``correct: false`` stops the
   tool before anything is written.
-- ``host``: per run, ``os.getloadavg()`` just before and after it and the
-  time of ``PROBE``, fixed numpy work that does not use the package, run
-  in a child just before it.  At the top, the medians of the probe and of
-  the 1-minute loads, and ``comparable``: whether this file's medians
-  compare with those of the last file (the BENCH_<n>.json with the largest
-  n below this file's).  They do when both files record host state and
-  their probe medians differ by at most ``PROBE_TOLERANCE``; the loads
-  are there for the reader.
+- ``host``: per run, the time of ``PROBE``, fixed numpy work that does
+  not use the package, run in a child just before it.  At the top, the
+  median of the probe times, and ``comparable``: whether this file's
+  medians compare with those of the last file (the BENCH_<n>.json with
+  the largest n below this file's).  They do when both files record host
+  state and their probe medians differ by at most ``PROBE_TOLERANCE``.
 - ``ledger``: DP sweeps (``exact_dist._steps`` calls), element operations
   and ``item`` reads, counted by ``tools/opcount.py`` for fixed calls: the
   calibration, ``pmf(0, 600)``, the x = 1 rows of ``large_n_tables``, a
@@ -86,9 +84,8 @@ def summarize(results: list[dict]) -> dict:
 def run_workload(command: list[str], workload: str, seed: int, seconds: float) -> dict:
     argv = [*command, "--workload", workload, "--seed", str(seed),
             "--seconds", str(seconds), "--trace", "0"]
-    host = {"probe_s": probe(), "load_before": list(os.getloadavg())}
+    host = {"probe_s": probe()}
     proc = subprocess.run(argv, cwd=ROOT, capture_output=True, text=True, check=True)
-    host["load_after"] = list(os.getloadavg())
     facts_line, result_line = proc.stdout.splitlines()[-2:]
     facts, result = json.loads(facts_line)["facts"], json.loads(result_line)
     if not result["correct"]:
@@ -112,12 +109,9 @@ def record_workloads(bench: dict, seeds: list[int], seconds: float) -> dict:
 
 
 def host_summary(workloads: dict) -> dict:
-    """Medians of the probe times and of the 1-minute loads over every run."""
+    """The median probe time over every run."""
     hosts = [run["host"] for w in workloads.values() for run in w["runs"]]
-    return {"probe_s": statistics.median(h["probe_s"] for h in hosts),
-            "load_1m": statistics.median(h[k][0] for h in hosts
-                                         for k in ("load_before", "load_after")),
-            "cpus": os.cpu_count()}
+    return {"probe_s": statistics.median(h["probe_s"] for h in hosts), "cpus": os.cpu_count()}
 
 
 def previous(out: Path) -> Path | None:
@@ -142,8 +136,7 @@ def comparability(host: dict, last: dict | None, name: str | None) -> dict:
     ok = abs(ratio - 1.0) <= PROBE_TOLERANCE
     return {"with": name, "comparable": ok, "probe_ratio": ratio,
             "why": f"probe medians {'within' if ok else 'beyond'} {PROBE_TOLERANCE:.0%} "
-                   f"(ratio {ratio:.3f}); median 1-minute loads {host['load_1m']:.2f} "
-                   f"and {last['host']['load_1m']:.2f}"}
+                   f"(ratio {ratio:.3f})"}
 
 
 def count(call) -> dict:
