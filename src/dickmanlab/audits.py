@@ -261,20 +261,14 @@ def gamma_kernel_sup(m: int, n: int, u_points: int = config.GAMMA_U_POINTS) -> f
 
 
 def _gamma_kernel_plan(u_points: int, pairs, kappa, table):
-    """gamma_kernel_sup at every pair, from one coefficient series per m."""
+    """gamma_kernel_sup at every pair, from one coefficient series for them all."""
     pairs = list(pairs)
 
     def read(book) -> list[AuditRow]:
-        ns: dict[int, list[int]] = {}
-        for m, n in pairs:
-            ns.setdefault(m, []).append(n)
-        sup = {}
-        for m, n_list in ns.items():
-            for n, grid in zip(n_list, gamma_grids(m, n_list, u_points)):
-                sup[m, n] = float(np.abs(grid).max()) * (n - m) / (1.0 + math.log(n / m))
         # The sup is already normalised: its envelope is 1.
-        return [AuditRow("gamma_kernel", m, n, float("nan"), 0, 0, sup[m, n], 1.0)
-                for m, n in pairs]
+        return [AuditRow("gamma_kernel", m, n, float("nan"), 0, 0,
+                         float(np.abs(grid).max()) * (n - m) / (1.0 + math.log(n / m)), 1.0)
+                for (m, n), grid in zip(pairs, gamma_grids(pairs, u_points))]
 
     return [], read
 

@@ -50,7 +50,7 @@ class KappaSeq:
     mode: str = "floor"  # floor | round | exact-multiple
 
     def __init__(self, x, mode: str = "floor"):
-        if isinstance(x, float):
+        if isinstance(x, (float, np.floating)):
             x = Fraction(str(x))
         else:
             x = Fraction(x)

@@ -87,8 +87,8 @@ def gamma_mn(m: int, n: int, u) -> complex | np.ndarray:
     return complex(out) if np.ndim(u) == 0 else out
 
 
-def gamma_grids(m: int, ns, u_points: int):
-    """gamma_mn(m, n, u_j) on u_j = pi j/(P-1), j < P = u_points, for each n of ns.
+def gamma_grids(pairs, u_points: int):
+    """gamma_mn(m, n, u_j) on u_j = pi j/(P-1), j < P = u_points, for each (m, n) of pairs.
 
     With M = 2(P-1), e^{i u_j k} = w^{jk} for the M-th root of unity w.  For
     k >= 3 and |z| = 1 the term is a geometric series in z,
@@ -97,25 +97,27 @@ def gamma_grids(m: int, ns, u_points: int):
         b_{k,q} = (-1)^{q-1} k/(k-1)^q  (q >= 2),
 
     so (n-m) gamma(u_j) = sum_r A_r w^{jr} with A_r the sum of b_{k,q} over
-    kq = r (mod M): a real FFT of A.  Each k's series stops at the first Q
-    whose tail bound k(k-1)^{-(Q+1)}/(1 - 1/(k-1)) is at most 2^-60/(k-1),
-    so the truncation moves (n-m) gamma by at most 2^-60 (1 + log(n/m)).
-    The phase kq mod M is exact integer arithmetic, unlike u*k rounded
-    inside a direct e^{iuk}.
+    m < k <= n, kq = r (mod M): a real FFT of A.  Each k's series stops at
+    the first Q whose tail bound k(k-1)^{-(Q+1)}/(1 - 1/(k-1)) is at most
+    2^-60/(k-1), so the truncation moves (n-m) gamma by at most
+    2^-60 (1 + log(n/m)).  The phase kq mod M is exact integer arithmetic,
+    unlike u*k rounded inside a direct e^{iuk}.
 
-    The rows q of b_{k,q} are built once, for k up to max(ns).  A term's
-    value and its stop do not depend on n, and the k still kept at each q
-    are a prefix, so each n folds its own k-prefix of every row, in the
-    same order as a build for that n alone: its grid is that one bit for
-    bit.  Grids are yielded one at a time, one FFT each.
+    The rows q of b_{k,q} are built once for all pairs, for k from the
+    least m + 1 to the largest n.  A term's value and its stop depend on k
+    alone, and the k still kept at each q are a prefix, so each pair folds
+    its own k-range (m, n] of every row, in the same order as a build for
+    that pair alone: its grid is that one bit for bit.  Grids are yielded
+    one at a time, in the order of pairs, one FFT each.
     """
-    ns = list(ns)
-    if not ns or not all(2 <= m < n for n in ns):
-        raise ValueError(f"need 2 <= m < n for every n, got m={m}, ns={ns}")
+    pairs = list(pairs)
+    if not pairs or not all(2 <= m < n for m, n in pairs):
+        raise ValueError(f"need 2 <= m < n in every pair, got {pairs}")
     if u_points < 2:
         raise ValueError(f"need u_points >= 2, got {u_points}")
     M = 2 * (u_points - 1)
-    ks = np.arange(m + 1, max(ns) + 1)
+    k0 = min(m for m, _ in pairs) + 1
+    ks = np.arange(k0, max(n for _, n in pairs) + 1)
     a = 1.0 / (ks - 1)
     c = ks * a  # k a^q at q = 1
     idx, coef = [ks % M], [a]
@@ -131,10 +133,11 @@ def gamma_grids(m: int, ns, u_points: int):
         q += 1
         idx.append(ks * q % M)
         coef.append(c if q % 2 else -c)
-    for n in ns:
-        # Each row holds a prefix of the k, so n's own build holds its first n - m.
-        A = np.bincount(np.concatenate([i[: n - m] for i in idx]),
-                        np.concatenate([c[: n - m] for c in coef]), minlength=M)
+    for m, n in pairs:
+        # Entry i of a row is k = k0 + i, so the pair's k in (m, n] are one slice.
+        own = slice(m + 1 - k0, n + 1 - k0)
+        A = np.bincount(np.concatenate([i[own] for i in idx]),
+                        np.concatenate([c[own] for c in coef]), minlength=M)
         # sum_r A_r w^{jr} = conj(rfft(A)[j]) for real A, and rfft returns j = 0..M/2.
         yield np.conj(np.fft.rfft(A)) / (n - m)
 

@@ -2,7 +2,9 @@ import dataclasses
 import functools
 import math
 import tracemalloc
+from fractions import Fraction
 
+import mpmath
 import numpy as np
 import pytest
 from hypothesis import assume, example, given, settings
@@ -11,7 +13,7 @@ from hypothesis import strategies as st
 from dickmanlab import audits, config, exact_dist
 from dickmanlab.audits import f_envelope
 from dickmanlab.exact_dist import KappaSeq, pmf, prob_at
-from dickmanlab.spectral import gamma_mn, phi_T, phi_dickman
+from dickmanlab.spectral import gamma_grids, gamma_mn, phi_T, phi_dickman
 
 KAPPA1 = KappaSeq(1, mode="exact-multiple")
 
@@ -303,6 +305,112 @@ def test_calibration_constants_are_bit_for_bit_frozen(table):
         "cov_near": "0.5",
         "cov_far": "0.050056249336760505",
     }
+
+
+# ------------------------------- golden constants at their exact binding cells
+
+def _exact_law(m, n):
+    return pmf(m, n, mode="exact").probs
+
+
+def _exact_atom(m, n, v):
+    law = _exact_law(m, n)
+    return law[v] if 0 <= v < len(law) else Fraction(0)
+
+
+def _exact_cov(m, n, kappa):
+    """cov_Y from Fraction laws, by the same block split as exact_dist.cov_Y."""
+    pm = _exact_atom(0, m, kappa(m))
+    if m == n:
+        return m * m * (pm - pm * pm)
+    return (m * pm) * (n * _exact_atom(m, n, kappa(n) - kappa(m)) - n * _exact_atom(0, n, kappa(n)))
+
+
+def _mp_g(m, n):
+    """g_envelope in mpmath."""
+    L = mpmath.log(mpmath.mpf(n) / m)
+    B = L / (n - m) ** 2 + mpmath.mpf(m + 2) / (n - m)
+    return mpmath.expm1(B * L * L) + 1 / L
+
+
+def _mp_chi(m, n, kappa):
+    """chi in mpmath, at the integer slope 1 of kappa."""
+    dk = kappa(n) - kappa(m)
+    r = mpmath.mpf(n - m) / dk
+    return (r * mpmath.log(mpmath.mpf(n) / m) / mpmath.sqrt(n - m) + r * _mp_g(m, n)
+            + abs(r - 1) + mpmath.mpf(m + 1) / dk)
+
+
+def _mp_far_envelope(m, n, kappa):
+    """The far-regime covariance envelope of ``audits._cov_plan`` in mpmath."""
+    return (mpmath.mpf(n) / (n - m) * _mp_chi(m, n, kappa) + mpmath.mpf(m) / (n - m)
+            + _mp_chi(2, n, kappa) + mpmath.mpf(1) / n)
+
+
+def _exact_stimabase(m, n, kappa):
+    d = kappa(n) - kappa(m)
+    law = _exact_law(m, n)
+    lhs = abs(d * law[d] - sum(law[max(d - n + 1, 0): d - m]))
+    assert lhs == Fraction(3, 40)
+    return mpmath.mpf(lhs.numerator) / lhs.denominator * mpmath.sqrt(n - m) / (
+        1 + mpmath.log(mpmath.mpf(n) / m))
+
+
+def _exact_cov_ratio(want, envelope):
+    def ratio(m, n, kappa):
+        c = _exact_cov(m, n, kappa)
+        assert c == want
+        return mpmath.mpf(abs(c).numerator) / abs(c).denominator / envelope(m, n, kappa)
+    return ratio
+
+
+# key: (binding cell at slope 1, exact ratio there, ulps of the stored constant
+# above that ratio: the least and the most this test accepts).  Stimabase and
+# cov_far round up by 3.7 and 3.0 ulps: the stored bound is safe.
+EXACT_BINDING = {
+    "stimabase": ((2, 8), _exact_stimabase, (0, 4)),
+    "cov_diag": ((3, 3), _exact_cov_ratio(2, lambda m, n, kappa: m), (-0.5, 0.5)),
+    "cov_near": ((3, 4), _exact_cov_ratio(Fraction(-1, 2), lambda m, n, kappa: 1), (0, 0)),
+    "cov_far": ((3, 6), _exact_cov_ratio(Fraction(-3, 4), _mp_far_envelope), (0, 4)),
+}
+
+
+def _binding_cell(key):
+    """(constant, slope, m, n) of the row that sets the constant of a ratio audit."""
+    constant, rows = audits.calibrate([audits.AUDITS[key]], None)[key]
+    x, row = max(((x, r) for x, rs in rows.items() for r in rs), key=lambda xr: xr[1].ratio)
+    assert row.ratio == constant
+    return constant, x, row.m, row.n
+
+
+@pytest.mark.parametrize("key", sorted(EXACT_BINDING))
+def test_golden_constant_is_its_exact_ratio_at_the_binding_cell(key):
+    (m, n), exact_ratio, (lo, hi) = EXACT_BINDING[key]
+    constant, x, bm, bn = _binding_cell(key)
+    stored = config.load_golden()[key]["constant"]
+    assert stored == constant
+    assert (x, bm, bn) == (1.0, m, n)
+    with mpmath.workdps(40):
+        exact = exact_ratio(m, n, KappaSeq(1))
+        ulps = float((mpmath.mpf(stored) - exact) / math.ulp(float(exact)))
+    assert lo <= ulps <= hi, ulps
+
+
+def test_golden_gamma_kernel_is_one_ulp_below_its_closed_form():
+    # At u = pi, e^{iuk} = (-1)^k: the odd k = 3, 5, 7 give -2/(k-2) each, so
+    # 6 |gamma_{2,8}(pi)| = 46/15 and the constant is 46/(15(1 + 2 log 2)).
+    # The stored value is 1 ulp BELOW the correctly rounded one (1.28 ulps
+    # below the exact ratio): as a bound it is short by that last bit.
+    constant, x, m, n = _binding_cell("gamma_kernel")
+    stored = config.load_golden()["gamma_kernel"]["constant"]
+    assert stored == constant == 1.2851166715356424
+    assert (x, m, n) == (1.0, 2, 8)
+    grid = next(gamma_grids([(2, 8)], config.GAMMA_U_POINTS))
+    assert int(np.abs(grid).argmax()) == config.GAMMA_U_POINTS - 1  # u = pi
+    with mpmath.workdps(40):
+        rounded = float(46 / (15 * (1 + 2 * mpmath.log(2))))
+    assert rounded == 1.2851166715356426
+    assert stored == math.nextafter(rounded, 0.0)
 
 
 @pytest.mark.parametrize("key", sorted(audits.AUDITS))

@@ -1,11 +1,14 @@
 import math
 from fractions import Fraction
 
+import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from dickmanlab.cumulants import (
+    _cumulant_cached,
+    _sum_of_powers,
     a_coeff,
     alpha_j,
     cumulant_explicit,
@@ -13,6 +16,7 @@ from dickmanlab.cumulants import (
     cumulant_recurrence,
     stirling2,
 )
+from dickmanlab.exact_dist import pmf
 
 
 def test_a_coeff_known_values():
@@ -140,3 +144,18 @@ def alpha_j_integer_loop(m, n, j):
 def test_alpha_j_power_sums_are_the_per_k_loop(m, n):
     for j in range(1, 12):
         assert repr(alpha_j(m, n, j)) == repr(alpha_j_integer_loop(m, n, j)), j
+
+
+@pytest.mark.parametrize("n", [600, 1000])
+def test_float_law_cumulants_are_the_exact_integers(n):
+    # kappa_j(T_n) = sum_k k^j c_j(1/k) = sum_i c_{j,i} sum_{k<=n} k^{j-i}: an
+    # exact integer that checks the DP's bulk where no exact law reaches.
+    p = np.asarray(pmf(0, n).probs)
+    mean = float(np.dot(np.arange(len(p)), p))
+    d = np.arange(len(p)) - mean
+    mu2, mu3, mu4 = (float(np.dot(d**r, p)) for r in (2, 3, 4))
+    got = [mean, mu2, mu3, mu4 - 3.0 * mu2 * mu2]
+    for j, value in enumerate(got, 1):
+        exact = sum(c * _sum_of_powers(j - i, 0, n)
+                    for i, c in enumerate(_cumulant_cached(j).coeffs))
+        assert abs(value - exact) <= 1e-13 * exact, j

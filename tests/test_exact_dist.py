@@ -417,11 +417,31 @@ def test_kappa_takes_numpy_integers_as_exact_ints():
     assert cov_Y(k, 1500, 1501) == pytest.approx(-0.19666105495348402, rel=1e-12)
 
 
+def test_kappa_pins_numpy_floats_by_their_decimal_repr():
+    # Fraction(np.float32(2.5)) raises TypeError: every np.floating is pinned
+    # through its decimal repr, as a Python float is.
+    assert KappaSeq(np.float32(2.5))(10) == 25
+    assert KappaSeq(np.float32(0.1)).x == Fraction(1, 10)
+    assert KappaSeq(np.float64(0.1)).x == KappaSeq(0.1).x == Fraction(1, 10)
+
+
 def test_kappa_values_raise_past_int64():
     k = KappaSeq(10**10)
     assert k.values([10**8]).tolist() == [10**18]
     with pytest.raises(OverflowError):
         k.values([10**9])  # kappa = 10^19 > 2^63 - 1
+
+
+def test_diagonal_identity_below_n():
+    # For j <= n every Z_k with k > j is 0, and prod_{k=j+1}^n (1 - 1/k) = j/n,
+    # so n P(T_n = j) = j P(T_j = j) exactly; both sides vanish at j = 2.
+    n = 3000
+    js = range(1, n + 1)
+    book = _laws([(0, n, 0, n)] + [(0, j, j, j) for j in js])
+    lhs = n * book[0, n, 0, n][1:]
+    rhs = np.array([j * book[0, j, j, j] for j in js])
+    assert len(lhs) == n and rhs[1] == 0.0
+    assert np.all(np.abs(lhs - rhs) <= 1e-13 * rhs)
 
 
 @given(m=st.integers(min_value=0, max_value=6), span=st.integers(min_value=1, max_value=8))

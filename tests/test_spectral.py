@@ -142,7 +142,7 @@ GAMMA_MPMATH = {
 def test_gamma_grid_matches_mpmath_to_1e15_of_the_sup(m, n):
     # Guards the exact roots of unity: the dense e^{iuk} route, with u*k
     # rounded, is off by 1.4e-13 of the sup at (20, 1000).
-    g = next(gamma_grids(m, [n], GAMMA_P))
+    g = next(gamma_grids([(m, n)], GAMMA_P))
     sup = max(abs(complex(re, im)) for _, re, im in GAMMA_MPMATH[m, n])
     assert float(np.abs(g).max()) == pytest.approx(sup, rel=1e-15)
     for j, re, im in GAMMA_MPMATH[m, n]:
@@ -161,7 +161,7 @@ def test_gamma_grid_is_gamma_mn_on_the_linspace_grid(mn, P):
     # not the grid sup: at (3, 4), P = 2 the kernel vanishes on the grid and
     # the dense reference is pure rounding (1.2e-16 from e^{4 pi i}).
     m, n = mn
-    g = next(gamma_grids(m, [n], P))
+    g = next(gamma_grids([(m, n)], P))
     dense = gamma_mn(m, n, np.linspace(0.0, math.pi, P))
     scale = 2.0 * np.sum(1.0 / np.arange(m - 1, n - 1)) / (n - m)
     assert g.shape == (P,)
@@ -171,9 +171,9 @@ def test_gamma_grid_is_gamma_mn_on_the_linspace_grid(mn, P):
 @pytest.mark.parametrize("u_points", [1, 0, -3])
 def test_gamma_grid_rejects_fewer_than_two_points(u_points):
     with pytest.raises(ValueError):
-        next(gamma_grids(2, [10], u_points))
+        next(gamma_grids([(2, 10)], u_points))
     with pytest.raises(ValueError):
-        next(gamma_grids(1, [10], 11))
+        next(gamma_grids([(1, 10)], 11))
 
 
 def test_gamma_series_against_closed_form():
@@ -255,10 +255,14 @@ def test_w1_envelope_audit_with_golden_constant():
                 assert row.lhs <= bound + 1e-12
 
 
-def test_gamma_grids_per_m_are_the_one_n_grids():
-    # One series per m serves every n, in any order and with repeats.
-    ns = [40, 7, 200, 40, 3]
-    for n, g in zip(ns, gamma_grids(2, ns, 257), strict=True):
-        assert g.tobytes() == next(gamma_grids(2, [n], 257)).tobytes(), n
+@pytest.mark.parametrize("P", [2, 11, 257])
+def test_gamma_grids_of_many_pairs_are_the_one_pair_grids(P):
+    # One series serves every pair, with several m, in any order and with repeats.
+    pairs = [(5, 40), (2, 7), (20, 200), (5, 40), (2, 3), (3, 200), (20, 21), (7, 9)]
+    for (m, n), g in zip(pairs, gamma_grids(pairs, P), strict=True):
+        assert g.tobytes() == next(gamma_grids([(m, n)], P)).tobytes(), (m, n)
+    for bad in ([(5, 9), (9, 5)], [(2, 10), (1, 10)], [(2, 10), (4, 4)], []):
+        with pytest.raises(ValueError):
+            next(gamma_grids(bad, P))
     with pytest.raises(ValueError):
-        next(gamma_grids(5, [9, 5], 11))
+        next(gamma_grids(pairs, 1))
