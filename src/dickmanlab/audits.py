@@ -34,7 +34,6 @@ from .dickman import RhoTable, dickman_density
 from .exact_dist import (
     KappaSeq,
     Pmf,
-    _cov_atoms,
     _covariances,
     _kolmogorov_cap,
     _laws,
@@ -189,9 +188,7 @@ def lemmino_check(kappa: KappaSeq, eps: float, m: int, n: int) -> bool:
     for j in (m, n):
         if abs(kappa(j) / j - x) >= eps * x:
             raise ValueError(f"kappa_{j}/{j} strays from x={x} by >= eps*x")
-    d = kappa(n) - kappa(m)
-    if d < 0:
-        raise ValueError(f"kappa_n - kappa_m = {d} < 0")
+    d = kappa(n) - kappa(m)  # >= 0: x > 0 makes kappa nondecreasing, and m < n
     reach, mask = 1, (1 << (d + 1)) - 1
     for k in range(m + 1, n + 1):
         reach = (reach | reach << k) & mask
@@ -235,9 +232,11 @@ def _cov_plan(regime: str, pairs, kappa: KappaSeq, table):
         if regime == "far" and m >= n:
             raise ValueError(f"the far regime needs m < n, got m={m}, n={n}")
 
+    atoms, covariances = _covariances(kappa, pairs)
+
     def read(book) -> list[AuditRow]:
         rows = []
-        for (m, n), cov in zip(pairs, _covariances(kappa, pairs, book)):
+        for (m, n), cov in zip(pairs, covariances(book)):
             c = abs(cov)
             if regime == "diag":
                 env = float(m)
@@ -248,7 +247,7 @@ def _cov_plan(regime: str, pairs, kappa: KappaSeq, table):
             rows.append(AuditRow(f"cov-{regime}", m, n, x, kappa(m), kappa(n), c, env))
         return rows
 
-    return _cov_atoms(kappa, pairs), read
+    return atoms, read
 
 
 def gamma_kernel_sup(m: int, n: int, u_points: int = config.GAMMA_U_POINTS) -> float:

@@ -60,17 +60,18 @@ class KappaSeq:
             raise ValueError(f"unknown kappa mode {mode!r}")
         object.__setattr__(self, "x", x)
         object.__setattr__(self, "mode", mode)
-        object.__setattr__(self, "_pq", x.as_integer_ratio())  # read on every call
+        # kappa_n = (a n + b) // c, read on every call: floor(xn) is (p, 0, q) for
+        # x = p/q, and floor(xn + 1/2) = floor((2pn + q) / 2q) is (2p, q, 2q).
+        p, q = x.as_integer_ratio()
+        object.__setattr__(self, "_abc", (2 * p, q, 2 * q) if mode == "round" else (p, 0, q))
 
     def __call__(self, n) -> int:
         """kappa_n, in exact Python ints for any integer n, numpy ones included."""
         n = operator.index(n)
-        p, q = self._pq
-        if self.mode == "round":
-            return (2 * p * n + q) // (2 * q)
-        if self.mode == "exact-multiple" and (p * n) % q:
+        a, b, c = self._abc
+        if self.mode == "exact-multiple" and (a * n) % c:
             raise ValueError("x*n is not an integer for exact-multiple mode")
-        return (p * n) // q
+        return (a * n + b) // c
 
     def values(self, ns: Iterable[int]) -> np.ndarray:
         """kappa over many indices as int64; OverflowError past int64, never a wrap."""
@@ -82,12 +83,10 @@ class KappaSeq:
         kappa is nondecreasing, so {n : kappa_n = T} = [first(T), first(T + 1)).
         """
         T = operator.index(T)
-        p, q = self._pq
-        if self.mode == "round":  # 2pn + q >= 2qT
-            return -((q - 2 * q * T) // (2 * p))
-        if self.mode == "exact-multiple" and q != 1:
+        a, b, c = self._abc
+        if self.mode == "exact-multiple" and c != 1:
             raise ValueError("x*n is not an integer for exact-multiple mode")
-        return -((-q * T) // p)  # pn >= qT
+        return -((b - c * T) // a)  # the least n with a n + b >= c T
 
     @property
     def x_float(self) -> float:
@@ -454,35 +453,32 @@ def cov_Y(x_seq: KappaSeq, m: int, n: int) -> float:
         Cov = { m P(T_m = kappa_m) } * { n P(T_m^n = kappa_n - kappa_m)
                                          - n P(T_n = kappa_n) }.
     """
-    return _covariances(x_seq, [(m, n)])[0]
+    atoms, read = _covariances(x_seq, [(m, n)])
+    return read(_laws(atoms))[0]
 
 
-def _cov_atoms(x_seq: KappaSeq, pairs) -> list[tuple[int, int, int, int]]:
-    """The atom requests (m, n, v, v) that cov_Y reads at the pairs, after checking them."""
-    atoms = []
+def _covariances(x_seq: KappaSeq, pairs):
+    """cov_Y at every (m, n) pair as a plan: (atoms, read), the atom requests
+    (m, n, v, v) after checking the pairs, and the reader of the covariances
+    from a book holding them."""
+    pairs, atoms = list(pairs), []
     for m, n in pairs:
         if not (2 <= m <= n):
             raise ValueError(f"need 2 <= m <= n, got m={m}, n={n}")
         km, kn = x_seq(m), x_seq(n)
-        if (d := kn - km) < 0:
-            raise ValueError(f"kappa_n - kappa_m = {d} < 0 at m={m}, n={n}")
+        d = kn - km  # >= 0: x > 0 makes kappa nondecreasing in every mode
         atoms += [(0, m, km, km)] if m == n else [(0, m, km, km), (m, n, d, d), (0, n, kn, kn)]
-    return atoms
 
+    def read(book) -> list[float]:
+        p = map(book.__getitem__, atoms)
+        out = []
+        for m, n in pairs:
+            pm = next(p)
+            if m == n:
+                out.append(m * m * (pm - pm * pm))
+            else:
+                p_inc, p_n = next(p), next(p)
+                out.append((m * pm) * (n * p_inc - n * p_n))
+        return out
 
-def _covariances(x_seq: KappaSeq, pairs, book: dict | None = None) -> list[float]:
-    """cov_Y at every (m, n) pair, read from ``book``: one holding the atoms of
-    ``_cov_atoms``, by default built here in one DP sweep."""
-    atoms = _cov_atoms(x_seq, pairs)
-    if book is None:
-        book = _laws(atoms)
-    p = map(book.__getitem__, atoms)
-    out = []
-    for m, n in pairs:
-        pm = next(p)
-        if m == n:
-            out.append(m * m * (pm - pm * pm))
-        else:
-            p_inc, p_n = next(p), next(p)
-            out.append((m * pm) * (n * p_inc - n * p_n))
-    return out
+    return atoms, read

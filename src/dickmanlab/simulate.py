@@ -8,9 +8,9 @@ exact integer draw: O(log N) work per path, with no limit on N.
 
 Streams are counter-based (Philox) and keyed by (seed, path index), so
 any path can be reproduced in isolation and paths never share draws.
-``_streams`` holds that rule, and every multi-path estimator reads its
-(seed, stream) pairs from it, with one generator per call that each path
-rekeys to its stream.
+``_hits`` holds that rule, and every multi-path estimator reads its paths'
+hits from it: path i on stream i of seeds[i], through one generator per
+call that each path rekeys to its stream.
 """
 from __future__ import annotations
 
@@ -83,15 +83,16 @@ def _walk(kappas, marks, bits: np.random.Philox) -> list[list[int]]:
     return hits
 
 
-def _streams(horizons, seeds) -> list[tuple[np.random.Philox, int, int]]:
-    """[(bits, seed, i), ...], path i reading stream i of its seed through ``bits``, one
-    generator that each path's ``_rekey`` moves to its stream; needs every N >= 2 and a seed."""
+def _hits(kappas, marks, seeds) -> list[list[list[int]]]:
+    """[_walk(kappas, marks, ...) of path i on stream i of seeds[i]], every path read
+    through one generator that ``_rekey`` moves to its stream; needs every mark
+    N >= 2 and a seed."""
     seeds = [int(s) for s in seeds]
-    if min(horizons, default=0) < 2 or not seeds:
-        raise ValueError(f"need horizons N >= 2 and a seed, got N={list(horizons)} "
+    if min(marks, default=0) < 2 or not seeds:
+        raise ValueError(f"need horizons N >= 2 and a seed, got N={list(marks)} "
                          f"and {len(seeds)} seeds")
     bits = _rng(seeds[0], 0)
-    return [(bits, s, i) for i, s in enumerate(seeds)]
+    return [_walk(kappas, marks, _rekey(bits, s, i)) for i, s in enumerate(seeds)]
 
 
 def simulate_path(kappa: KappaSeq, N: int, seed: int, stream: int = 0) -> PathEstimate:
@@ -104,10 +105,9 @@ def simulate_path(kappa: KappaSeq, N: int, seed: int, stream: int = 0) -> PathEs
 
 def simulate_paths(kappa: KappaSeq, N: int, seeds) -> list[PathEstimate]:
     """One path per seed, path i on stream i of its seed."""
-    paths = _streams([N], seeds)
-    hits = [_walk([kappa], [N], _rekey(*path))[0][0] for path in paths]
+    seeds = [int(s) for s in seeds]
     return [PathEstimate(seed=s, N=N, hits=h, log_avg=h / math.log(N))
-            for (_, s, _), h in zip(paths, hits)]
+            for s, [[h]] in zip(seeds, _hits([kappa], [N], seeds))]
 
 
 def estimate_gamma(N: int, seeds) -> tuple[float, float]:
@@ -131,7 +131,7 @@ def estimate_rho(x: float, N: int, seeds) -> float:
     if x < 1.0:
         raise ValueError(f"ratio estimator needs x >= 1, got {x}")
     kappas = [KappaSeq(x), KappaSeq(1, mode="exact-multiple")]
-    hits = [_walk(kappas, [N], _rekey(*path)) for path in _streams([N], seeds)]
+    hits = _hits(kappas, [N], seeds)
     return sum(h[0][0] for h in hits) / sum(h[1][0] for h in hits)
 
 
@@ -139,8 +139,8 @@ def dispersion_diagnostic(x: float, N_list, seeds) -> list[tuple[int, float]]:
     """Across-path standard deviation of the log-average at each horizon."""
     N_list = sorted(set(int(N) for N in N_list))
     kappa = KappaSeq(x)
-    hits = [_walk([kappa], N_list, _rekey(*path))[0] for path in _streams(N_list, seeds)]
-    return [(N, float(np.std([h[m] / math.log(N) for h in hits])))
+    hits = _hits([kappa], N_list, seeds)
+    return [(N, float(np.std([h[0][m] / math.log(N) for h in hits])))
             for m, N in enumerate(N_list)]
 
 

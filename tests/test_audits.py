@@ -413,6 +413,66 @@ def test_golden_gamma_kernel_is_one_ulp_below_its_closed_form():
     assert stored == math.nextafter(rounded, 0.0)
 
 
+def _mp_w1_ratio(m, n, t):
+    """log1p(lhs)/(t^2 B) of the w1 audit in mpmath: phi_T of T/(n - m) as its
+    finite product, phi_D(t) = exp(-Cin(t) + i Si(t)), Cin(t) = gamma + log t - Ci(t)."""
+    t = mpmath.mpf(t)
+    phi_t = mpmath.fprod(1 - mpmath.mpf(1) / k + mpmath.expj(k * t / (n - m)) / k
+                         for k in range(m + 1, n + 1))
+    cin = mpmath.euler + mpmath.log(t) - mpmath.ci(t)
+    phi_d = mpmath.exp(-cin + 1j * mpmath.si(t))
+    B = mpmath.log(mpmath.mpf(n) / m) / (n - m) ** 2 + mpmath.mpf(m + 2) / (n - m)
+    return mpmath.log1p(abs(phi_t - phi_d)) / (t * t * B), phi_t, phi_d, B
+
+
+def test_golden_w1_lies_below_its_exact_ratio_at_the_binding_cell():
+    # calibrate binds w1 at (20, 400) with |t| = 0.25, the least nonzero |t| on
+    # its grid.  The stored constant lies BELOW the exact ratio there, by 6.6e-13
+    # relative (5152 ulps): as a bound it falls short of its own binding cell.
+    # The cause is phi_T's 380-factor float product (2.0e-15 absolute against
+    # an lhs of 1.6e-3); phi_dickman is within 4e-17.
+    constant, rows = audits.calibrate([audits.AUDITS["w1"]], None)["w1"]
+    binding = {(r.m, r.n, abs(r.x)) for r in rows[1.0]
+               if r.x != 0.0 and audits._solve_w1([r]) == constant}
+    assert binding == {(20, 400, 0.25)}
+    golden = config.load_golden()
+    stored = golden["w1"]["constant"]
+    assert not audits.check_golden({"w1": constant}, golden)
+    with mpmath.workdps(40):
+        exact, phi_t, phi_d, _ = _mp_w1_ratio(20, 400, 0.25)
+        assert abs(complex(phi_t) - phi_T(20, 400, 0.25 / 380)) < 3e-15
+        assert abs(complex(phi_d) - phi_dickman(0.25)) < 1e-16
+        assert 6.5e-13 < (exact - stored) / exact < 6.7e-13
+        assert 5100 < (exact - stored) / math.ulp(float(exact)) < 5200
+        assert constant <= stored < exact  # the float route lands lower still
+
+
+def test_w1_ratio_tends_to_its_small_t_limit():
+    # As t -> 0 the lhs is t^2 |Var(T/(n - m)) - 1/2| / 2 + O(t^3), so the ratio
+    # tends to L(m, n) = (2m - 1)/(4(n - m)B) < 1/2.  At t = 1e-3 the measured
+    # gap is 3.0 to 3.2e-7 relative on every pair.
+    for m, n in config.W1_PAIRS:
+        with mpmath.workdps(40):
+            ratio, _, _, B = _mp_w1_ratio(m, n, 1e-3)
+            limit = (2 * m - 1) / (4 * (n - m) * B)
+            assert abs(ratio / limit - 1) < 1e-5, (m, n)
+        assert limit < 0.5
+
+
+def test_golden_w2_is_zero_since_every_distance_is_the_jump_at_0(table):
+    # Every w2 row's distance is the jump P(T_m^n = 0) = m/n at 0 (the product
+    # of 1 - 1/k telescopes), within 16 ulps (the worst is 14, at (20, 400)), and
+    # m/n + 0.18 < 1/log(n/m): the g envelope's 1/L term covers each row alone,
+    # so _solve_w2 returns exactly the stored 0.0.
+    constant, rows = audits.calibrate([audits.AUDITS["w2"]], table)["w2"]
+    assert [(r.m, r.n) for r in rows[1.0]] == list(config.W2_PAIRS)
+    for r in rows[1.0]:
+        assert abs(r.lhs - r.m / r.n) <= 16 * math.ulp(r.m / r.n), (r.m, r.n)
+        assert r.m / r.n + 0.18 < 1 / math.log(r.n / r.m), (r.m, r.n)
+    assert _exact_law(5, 50)[0] == Fraction(5, 50)
+    assert constant == config.load_golden()["w2"]["constant"] == 0.0
+
+
 @pytest.mark.parametrize("key", sorted(audits.AUDITS))
 def test_calibrate_of_one_audit_is_its_calibration_and_its_own_rows(key, table):
     audit = audits.AUDITS[key]
@@ -495,3 +555,15 @@ def test_audit_rows_from_a_shared_book_are_their_own_rows(table):
     book = exact_dist._laws(r for _, _, (requests, _) in plans for r in requests)
     for a, x, (_, read) in plans:
         assert repr(read(book)) == repr(a.rows(a.pairs(x), KappaSeq(x), table)), (a.key, x)
+
+
+def test_stimabase_rejects_a_degenerate_target():
+    # kappa_2 = kappa_3 = 1 at x = 1/2: the increment target is 0.
+    with pytest.raises(ValueError, match=r"^degenerate target: kappa_n - kappa_m = 0$"):
+        audits.stimabase_check(2, 3, KappaSeq(0.5))
+
+
+def test_lemmino_rejects_a_target_that_strays_from_its_slope():
+    # (5, 6) lies in the band, but kappa_5 / 5 = 0.2 is not within 1 % of 0.3.
+    with pytest.raises(ValueError, match=r"^kappa_5/5 strays from x=0.3 by >= eps\*x$"):
+        audits.lemmino_check(KappaSeq(0.3), 0.01, 5, 6)

@@ -468,3 +468,11 @@ def test_readme_cli_examples_run(capsys):
         assert code == 0, line
         if "--format" in argv and argv[argv.index("--format") + 1] == "json":
             json.loads(out, parse_constant=_no_constant)
+
+
+def test_a_bad_integer_list_is_a_usage_error(capsys):
+    with pytest.raises(SystemExit) as exc:
+        main(["llt-table", "--n", "1,x"])
+    assert exc.value.code == 2
+    out, err = capsys.readouterr()
+    assert out == "" and "bad integer list '1,x'" in err

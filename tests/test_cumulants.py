@@ -159,3 +159,12 @@ def test_float_law_cumulants_are_the_exact_integers(n):
         exact = sum(c * _sum_of_powers(j - i, 0, n)
                     for i, c in enumerate(_cumulant_cached(j).coeffs))
         assert abs(value - exact) <= 1e-13 * exact, j
+
+
+def test_cumulant_inputs_below_their_range_raise_their_own_message():
+    with pytest.raises(ValueError, match=r"^explicit form needs n >= 2, got 1$"):
+        cumulant_explicit(1)
+    with pytest.raises(ValueError, match=r"^need n >= 1, got 0$"):
+        cumulant_recurrence(0)
+    with pytest.raises(ValueError, match=r"^need n >= 2, got 1$"):
+        cumulant_ratio_series(1)

@@ -112,3 +112,10 @@ def test_array_with_one_out_of_range_entry_raises(table):
     for bad in (-0.5, 31.0, float("nan"), float("inf")):
         with pytest.raises(DickmanRangeError):
             dickman_cdf(table, np.array([0.5, 1.0, bad, 2.0]))
+
+
+def test_table_and_integral_inputs_raise_their_own_message(table):
+    with pytest.raises(ValueError, match=r"^step must divide 1 \(got 0\.003\)$"):
+        build_rho_table(step=0.003)  # 1/0.003 is not an integer number of steps
+    with pytest.raises(DickmanRangeError, match=r"^upto must be positive, got 0\.0$"):
+        rho_sq_integral(table, 0.0)

@@ -425,6 +425,30 @@ def test_kappa_pins_numpy_floats_by_their_decimal_repr():
     assert KappaSeq(np.float64(0.1)).x == KappaSeq(0.1).x == Fraction(1, 10)
 
 
+@given(x=st.one_of(st.integers(min_value=10**16, max_value=10**17 - 1).map(lambda d: d / 10**16),
+                   st.floats(min_value=1e-3, max_value=1e3),
+                   st.fractions(min_value=Fraction(1, 50), max_value=50, max_denominator=50)),
+       n=st.one_of(st.integers(min_value=1, max_value=10**6),
+                   st.integers(min_value=1, max_value=10**30)),
+       mode=st.sampled_from(["floor", "round", "exact-multiple"]))
+@example(x=2.718281828459045, n=10**30, mode="round")
+@example(x=Fraction(3, 2), n=7, mode="exact-multiple")
+@settings(max_examples=300, deadline=None)
+def test_kappa_is_the_floor_of_the_exact_line(x, n, mode):
+    # kappa_n is floor(xn), or floor(xn + 1/2) in round mode, of the decimal
+    # slope in exact rationals; exact-multiple refuses an xn off the integers.
+    exact = Fraction(str(x)) if isinstance(x, float) else x
+    k, step = KappaSeq(x, mode=mode), 1
+    if mode == "exact-multiple":
+        step = exact.denominator  # kappa is defined on the multiples of it
+        if n % step:
+            with pytest.raises(ValueError, match=r"^x\*n is not an integer"):
+                k(n)
+            n *= step
+    assert k(n) == math.floor(exact * n + (Fraction(1, 2) if mode == "round" else 0))
+    assert k(n + step) >= k(n)
+
+
 def test_kappa_values_raise_past_int64():
     k = KappaSeq(10**10)
     assert k.values([10**8]).tolist() == [10**18]
@@ -639,7 +663,8 @@ def test_a_dense_covariance_row_reads_atoms_without_law_copies():
     # row peaked at 16 / 62 MB to n = 1000 / 2000 under tracemalloc.
     tracemalloc.start()
     try:
-        _covariances(KappaSeq(2), [(10, n) for n in range(11, 4001)])
+        atoms, read = _covariances(KappaSeq(2), [(10, n) for n in range(11, 4001)])
+        read(_laws(atoms))
         _, peak = tracemalloc.get_traced_memory()
     finally:
         tracemalloc.stop()
@@ -699,3 +724,15 @@ def test_kappa_first_is_the_least_index_reaching_T(p, q, T, mode):
     n = k.first(T)
     assert n >= 1 and k(n) >= T
     assert n == 1 or k(n - 1) < T
+
+
+@pytest.mark.parametrize("call,message", [
+    (lambda: cov_Y(KappaSeq(2), 1, 5), r"^need 2 <= m <= n, got m=1, n=5$"),
+    (lambda: cov_Y(KappaSeq(2), 5, 3), r"^need 2 <= m <= n, got m=5, n=3$"),
+    (lambda: point_prob_scan(KappaSeq(1), 0), r"^n_max must be >= 1, got 0$"),
+    (lambda: power_sum_scan([0, 5]), r"^all n must be >= 1$"),
+    (lambda: pmf(2, 5, mode="fast"), r"^unknown mode 'fast'$"),
+], ids=["cov-m-below-2", "cov-n-below-m", "point-scan-to-0", "power-scan-at-0", "pmf-mode"])
+def test_input_checks_raise_their_own_message(call, message):
+    with pytest.raises(ValueError, match=message):
+        call()

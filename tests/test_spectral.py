@@ -266,3 +266,11 @@ def test_gamma_grids_of_many_pairs_are_the_one_pair_grids(P):
             next(gamma_grids(bad, P))
     with pytest.raises(ValueError):
         next(gamma_grids(pairs, 1))
+
+
+def test_gamma_series_rejects_no_terms_and_reports_divergence():
+    with pytest.raises(ValueError, match=r"^need J >= 1, got 0$"):
+        gamma_series(2, 6, 0.1, 0)
+    # Far outside the series' disc its terms grow until they overflow.
+    with pytest.raises(OverflowError, match=r"^series diverged at j=140 for t=100\.0$"):
+        gamma_series(2, 6, 100.0, 400)

@@ -173,6 +173,11 @@ def ledger() -> dict:
 
     from dickmanlab import audits, dickman, exact_dist
 
+    def cov_row():
+        atoms, read = exact_dist._covariances(
+            exact_dist.KappaSeq(2), [(10, n) for n in range(11, 2001)])
+        return read(exact_dist._laws(atoms))
+
     table = dickman.build_rho_table()
     digests = json.loads(DIGESTS.read_text())
     calls = {
@@ -180,8 +185,7 @@ def ledger() -> dict:
         "pmf(0, 600)": lambda: exact_dist.pmf(0, 600),
         "large_n_tables llt_table x=1": lambda: audits.llt_table(
             exact_dist.KappaSeq(1, mode="exact-multiple"), LLT1_N, table),
-        "dense cov row x=2 m=10 to 2000": lambda: exact_dist._covariances(
-            exact_dist.KappaSeq(2), [(10, n) for n in range(11, 2001)]),
+        "dense cov row x=2 m=10 to 2000": cov_row,
     }
     for argv in CLI_COMMANDS:
         key = " ".join(argv)
