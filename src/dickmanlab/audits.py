@@ -24,7 +24,6 @@ import functools
 import hashlib
 import json
 import math
-from dataclasses import dataclass
 from typing import Callable, NamedTuple
 
 import numpy as np
@@ -328,8 +327,7 @@ def _solve_w2(rows) -> float:
 
 # ----------------------------------------------------------- audit registry
 
-@dataclass(frozen=True)
-class Audit:
+class Audit(NamedTuple):
     """One calibrated bound, defined once for the calibration and the CLI.
 
     ``pairs(x)`` is the default (m, n) grid at slope x.  ``plan(pairs,

@@ -8,10 +8,10 @@ claims, so floating arithmetic would be strictly weaker.
 """
 from __future__ import annotations
 
-from dataclasses import dataclass
 from fractions import Fraction
 from functools import lru_cache
 from math import comb, factorial
+from typing import NamedTuple
 
 
 def a_coeff(k: int, n: int) -> int:
@@ -35,8 +35,7 @@ def stirling2(n: int, k: int) -> int:
     return k * stirling2(n - 1, k) + stirling2(n - 1, k - 1)
 
 
-@dataclass(frozen=True)
-class CumulantPoly:
+class CumulantPoly(NamedTuple):
     """Coefficients of c_n(x) in the monomial basis, coeffs[i] on x^i."""
 
     n: int

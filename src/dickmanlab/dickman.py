@@ -12,9 +12,8 @@ that table.  Built tables are immutable and safe to share across threads.
 """
 from __future__ import annotations
 
-import functools
 import math
-from dataclasses import dataclass
+from typing import NamedTuple
 
 import numpy as np
 
@@ -58,8 +57,7 @@ def _interp(vals: np.ndarray, nodes_per_unit: int, pos: np.ndarray) -> np.ndarra
     return w0 * vals[lo] + w1 * vals[lo + 1] + w2 * vals[lo + 2] + w3 * vals[lo + 3]
 
 
-@dataclass(frozen=True)
-class RhoTable:
+class RhoTable(NamedTuple):
     """Dense grid of Dickman rho values with the cumulative integrals of rho and rho^2."""
 
     x_max: float
@@ -67,16 +65,11 @@ class RhoTable:
     values: np.ndarray
     cum_rho: np.ndarray
     cum_rho_sq: np.ndarray
+    cdf_gap: np.ndarray  # cdf_gap[j]: the largest |1 - dickman_cdf| over nodes j, j+1, ..
 
     @property
     def nodes_per_unit(self) -> int:
         return round(1.0 / self.step)
-
-    @functools.cached_property
-    def cdf_gap(self) -> np.ndarray:
-        """cdf_gap[j]: the largest |1 - D| over the nodes j, j+1, .. (D = dickman_cdf)."""
-        gap = np.abs(1.0 - math.exp(-EULER_GAMMA) * self.cum_rho)
-        return np.maximum.accumulate(gap[::-1])[::-1]
 
     def _check_range(self, x, what: str = "x") -> None:
         """Raise unless x (a float or an array of them) lies in [0, x_max]."""
@@ -144,8 +137,11 @@ def build_rho_table(x_max: float = 30.0, step: float = 1e-3) -> RhoTable:
         j0 = j[-1] + 1
 
     mid = _interp(vals, K, np.arange(1, M + 1, dtype=float) - 0.5)
-    return RhoTable(x_max=x_max, step=h, values=vals, cum_rho=_cumulative(vals, mid, h),
-                    cum_rho_sq=_cumulative(vals**2, mid**2, h))
+    cum_rho = _cumulative(vals, mid, h)
+    gap = np.abs(1.0 - math.exp(-EULER_GAMMA) * cum_rho)
+    return RhoTable(x_max=x_max, step=h, values=vals, cum_rho=cum_rho,
+                    cum_rho_sq=_cumulative(vals**2, mid**2, h),
+                    cdf_gap=np.maximum.accumulate(gap[::-1])[::-1])
 
 
 def _lookup(table: RhoTable, vals: np.ndarray, x):

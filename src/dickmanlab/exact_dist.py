@@ -29,7 +29,7 @@ import math
 import operator
 from dataclasses import dataclass
 from fractions import Fraction
-from typing import Iterable, Sequence
+from typing import Iterable, NamedTuple, Sequence
 
 import numpy as np
 
@@ -93,8 +93,7 @@ class KappaSeq:
         return float(self.x)
 
 
-@dataclass(frozen=True)
-class Pmf:
+class Pmf(NamedTuple):
     """Probability mass function of T_m^n on 0..S, up to its last nonzero atom.
 
     In float mode the law stops where the top of the support underflows to

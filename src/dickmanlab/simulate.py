@@ -15,7 +15,7 @@ call that each path rekeys to its stream.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
+from typing import NamedTuple
 
 import numpy as np
 
@@ -25,8 +25,7 @@ from .exact_dist import KappaSeq
 _HEAD = 4.8605100796397975  # sum of P(T_n = n) over n <= 2000, by the DP
 
 
-@dataclass(frozen=True)
-class PathEstimate:
+class PathEstimate(NamedTuple):
     """Result of one simulated path: hit counts and the log-average."""
 
     seed: int

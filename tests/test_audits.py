@@ -1,4 +1,3 @@
-import dataclasses
 import functools
 import math
 import tracemalloc
@@ -202,7 +201,7 @@ def test_cli_defaults_move_no_stamp(monkeypatch, name):
 
 def _replan(monkeypatch, key, plan, *grid):
     """The registry entry ``key`` with another sub-grid bound into its plan."""
-    audit = dataclasses.replace(audits.AUDITS[key], plan=functools.partial(plan, *grid))
+    audit = audits.AUDITS[key]._replace(plan=functools.partial(plan, *grid))
     monkeypatch.setitem(audits.AUDITS, key, audit)
     return audit
 
@@ -230,58 +229,29 @@ def test_gamma_kernel_sup_reads_the_registrys_sub_grid(monkeypatch):
     assert audit.rows([(2, 10)], None, None)[0].lhs == audits.gamma_kernel_sup(2, 10, 11)
 
 
-def test_audit_laws_stop_where_their_reads_do(monkeypatch, table):
-    cells, widest = [0], [0]
-    steps = exact_dist._steps
-
-    def counted(*args, **kwargs):
-        for k, laws in steps(*args, **kwargs):
-            cells[0] += len(laws)
-            widest[0] = max(widest[0], len(laws))
-            yield k, laws
-
-    monkeypatch.setattr(exact_dist, "_steps", counted)
+def test_audit_laws_stop_where_their_reads_do(dp_sweeps, table):
     audits.llt_table(KappaSeq(1), [1000, 4000], table)
-    assert cells[0] <= 0.55 * 15_769_480  # the sweep capped at kappa_4000 alone
+    assert sum(s.cells for s in dp_sweeps) <= 0.55 * 15_769_480  # capped at kappa_4000 alone
     audits.w2_check(20, 1500, table)
-    assert widest[0] < 8000  # floor(x_max (n - m)) + 1 = 44,401
+    assert max(s.widest for s in dp_sweeps) < 8000  # floor(x_max (n - m)) + 1 = 44,401
 
 
-def test_each_audit_grid_is_one_dp_sweep(monkeypatch):
-    sweeps = []
-    steps = exact_dist._steps
-
-    def counted(*args, **kwargs):
-        sweeps.append(args)
-        return steps(*args, **kwargs)
-
-    monkeypatch.setattr(exact_dist, "_steps", counted)
+def test_each_audit_grid_is_one_dp_sweep(dp_sweeps):
     rows = audits.covariance_audit(KappaSeq(2.0), config.cov_far_pairs(), regime="far")
-    assert len(rows) == len(config.cov_far_pairs()) and len(sweeps) == 1
-    sweeps.clear()
+    assert len(rows) == len(config.cov_far_pairs()) and len(dp_sweeps) == 1
+    dp_sweeps.clear()
     stimabase = audits.AUDITS["stimabase"]
     rows = stimabase.rows(stimabase.pairs(1.0), KappaSeq(1.0), None)
-    assert len(rows) == len(config.stimabase_pairs()) and len(sweeps) == 1
+    assert len(rows) == len(config.stimabase_pairs()) and len(dp_sweeps) == 1
 
 
-def test_calibration_is_one_dp_sweep(monkeypatch, table):
+def test_calibration_is_one_dp_sweep(dp_sweeps, table):
     # Every audit and slope reads one book of laws: one sweep of 1,000
     # steps (the largest n), whose top falls after the last read of the
     # wide w2 laws.  Without that fall the sweep computes 13,115,473 cells.
-    sweeps = []
-    steps = exact_dist._steps
-
-    def counted(*args, **kwargs):
-        sweeps.append([0, 0])
-        for k, laws in steps(*args, **kwargs):
-            sweeps[-1][0] += 1
-            sweeps[-1][1] += laws.size
-            yield k, laws
-
-    monkeypatch.setattr(exact_dist, "_steps", counted)
     audits.run_calibration(table)
-    assert len(sweeps) == 1 and sweeps[0][0] == 1000
-    assert sweeps[0][1] <= 9_200_000
+    assert len(dp_sweeps) == 1 and dp_sweeps[0].steps == 1000
+    assert dp_sweeps[0].cells <= 9_200_000
 
 
 def test_calibration_evaluates_the_dickman_cf_once_per_t(monkeypatch, table):

@@ -326,14 +326,13 @@ def test_check_gates_the_constant_of_every_slope(tmp_path, capsys):
     (("stimabase",), 0),
     (("w2",), 1),
 ], ids=["cov-far", "stimabase", "w2"])
-def test_regenerate_costs_one_sweep_of_its_own_audit(tmp_path, monkeypatch, capsys, argv, tables):
-    sweeps, built = [], []
-    steps, build = exact_dist._steps, dickman.build_rho_table
-    monkeypatch.setattr(exact_dist, "_steps", lambda *a, **k: sweeps.append(a) or steps(*a, **k))
+def test_regenerate_costs_one_sweep_of_its_own_audit(tmp_path, monkeypatch, capsys, dp_sweeps,
+                                                     argv, tables):
+    built, build = [], dickman.build_rho_table
     monkeypatch.setattr(dickman, "build_rho_table", lambda **k: built.append(k) or build(**k))
     code, _ = run(capsys, *argv, "--golden", "regenerate",
                   "--golden-file", str(tmp_path / "g.json"))
-    assert code == 0 and len(sweeps) == 1 and len(built) == tables
+    assert code == 0 and len(dp_sweeps) == 1 and len(built) == tables
 
 
 def _probe(code: str, *argv: str) -> list[str]:

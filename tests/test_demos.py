@@ -10,7 +10,6 @@ from pathlib import Path
 import pytest
 
 import dickmanlab
-from dickmanlab import exact_dist
 
 ROOT = Path(__file__).resolve().parents[1]
 DIGESTS = json.loads((Path(__file__).with_name("demo_digests.json")).read_text())
@@ -26,16 +25,8 @@ def test_demo_stdout_is_byte_identical(name):
     assert hashlib.sha256(proc.stdout).hexdigest() == DIGESTS[name]
 
 
-def test_demo_03_reads_each_grid_from_one_sweep(monkeypatch, capsys):
+def test_demo_03_reads_each_grid_from_one_sweep(dp_sweeps, capsys):
     # stimabase, w2, zs, cov diag and cov far: one DP sweep each
-    sweeps = []
-    steps = exact_dist._steps
-
-    def counted(*args, **kwargs):
-        sweeps.append(args)
-        return steps(*args, **kwargs)
-
-    monkeypatch.setattr(exact_dist, "_steps", counted)
     runpy.run_path(str(ROOT / "demos" / "03_bound_audits.py"))["main"]()
     assert capsys.readouterr().out
-    assert len(sweeps) <= 5
+    assert len(dp_sweeps) <= 5

@@ -5,6 +5,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from dickmanlab import audits, cumulants, exact_dist, simulate
 from dickmanlab.dickman import (
     EULER_GAMMA,
     DickmanRangeError,
@@ -119,3 +120,23 @@ def test_table_and_integral_inputs_raise_their_own_message(table):
         build_rho_table(step=0.003)  # 1/0.003 is not an integer number of steps
     with pytest.raises(DickmanRangeError, match=r"^upto must be positive, got 0\.0$"):
         rho_sq_integral(table, 0.0)
+
+
+def test_records_are_named_tuples_built_whole(table):
+    kappa = exact_dist.KappaSeq(1)
+    records = [
+        (exact_dist.pmf(0, 6), ("m", "n", "probs", "mode")),
+        (table, ("x_max", "step", "values", "cum_rho", "cum_rho_sq", "cdf_gap")),
+        (audits.AUDITS["w2"], ("key", "pairs", "plan", "solve", "slopes")),
+        (cumulants.cumulant_explicit(4), ("n", "coeffs")),
+        (simulate.simulate_path(kappa, 100, seed=1), ("seed", "N", "hits", "log_avg")),
+        (audits.llt_table(kappa, [20], table)[0],
+         ("label", "m", "n", "x", "kappa_m", "kappa_n", "lhs", "envelope")),
+    ]
+    for record, fields in records:
+        assert isinstance(record, tuple) and type(record)._fields == fields
+        with pytest.raises(AttributeError):
+            setattr(record, fields[0], None)
+        assert not hasattr(record, "__dict__")  # so no read caches into it
+    gap = np.abs(1.0 - math.exp(-EULER_GAMMA) * table.cum_rho)
+    assert table.cdf_gap.tobytes() == np.maximum.accumulate(gap[::-1])[::-1].tobytes()
