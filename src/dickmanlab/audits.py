@@ -63,9 +63,10 @@ class AuditRow(NamedTuple):
 def llt_table(kappa: KappaSeq, n_list, table: RhoTable) -> list[AuditRow]:
     """Point-probability convergence: lhs = n P(T_n = kappa_n), target e^-g rho(x).
 
-    One ``_laws`` sweep reads the atom (0, n, kappa_n, kappa_n) of every
-    requested n, at a cost linear in n for dense and sparse rows alike, so
-    each lhs is n * point_prob_scan(kappa, n)[n - 1] bit for bit.
+    One ``_laws`` book holds the atom (0, n, kappa_n, kappa_n) of every
+    requested n: a sweep at a cost linear in n for dense and sparse rows
+    alike, or the head series for n >= SERIES_N0 at kappa_n <= n.  Each
+    lhs is n * point_prob_scan(kappa, n)[n - 1] bit for bit.
     """
     n_list = sorted(set(int(n) for n in n_list))
     if not n_list:

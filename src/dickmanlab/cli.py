@@ -71,13 +71,21 @@ def _int_list(text: str) -> list[int]:
         raise argparse.ArgumentTypeError(f"bad integer list {text!r}") from exc
 
 
+def _float_list(text: str) -> list[float]:
+    try:
+        return [float(p) for p in text.split(",")]
+    except ValueError as exc:
+        raise argparse.ArgumentTypeError(f"bad number list {text!r}") from exc
+
+
 def _kappa(x: float, mode: str | None):
     from .exact_dist import KappaSeq
 
+    kappa = KappaSeq(x, mode=mode or "floor")  # a rejected slope is one error line, no warning
     if x < 1.0:
         print(f"warning: x={x} < 1, kappa need not be strictly increasing",
               file=sys.stderr)
-    return KappaSeq(x, mode=mode or "floor")
+    return kappa
 
 
 def _table(args):
@@ -249,8 +257,7 @@ def build_parser() -> argparse.ArgumentParser:
     sub = ap.add_subparsers(dest="command", required=True)
 
     p = sub.add_parser("rho", help="Dickman rho, density and CDF values")
-    p.add_argument("--x", type=lambda s: [float(v) for v in s.split(",")],
-                   required=True)
+    p.add_argument("--x", type=_float_list, required=True)
     _add_common(p, table=True)
     p.set_defaults(func=cmd_rho)
 

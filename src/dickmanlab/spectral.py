@@ -14,7 +14,7 @@ import numpy as np
 
 from .cumulants import alpha_j
 from .dickman import EULER_GAMMA, RhoTable, rho_sq_integral
-from .exact_dist import Pmf, power_sum
+from .exact_dist import Pmf, _kernel_rows, power_sum
 
 # _PHI_T_MAX keeps phi_dickman's panels < 2^12.
 _PHI_T_MAX = 1e4
@@ -97,11 +97,11 @@ def gamma_grids(pairs, u_points: int):
         b_{k,q} = (-1)^{q-1} k/(k-1)^q  (q >= 2),
 
     so (n-m) gamma(u_j) = sum_r A_r w^{jr} with A_r the sum of b_{k,q} over
-    m < k <= n, kq = r (mod M): a real FFT of A.  Each k's series stops at
-    the first Q whose tail bound k(k-1)^{-(Q+1)}/(1 - 1/(k-1)) is at most
-    2^-60/(k-1), so the truncation moves (n-m) gamma by at most
-    2^-60 (1 + log(n/m)).  The phase kq mod M is exact integer arithmetic,
-    unlike u*k rounded inside a direct e^{iuk}.
+    m < k <= n, kq = r (mod M): a real FFT of A.  Each k's series stops
+    at its 2^-60/(k-1) tail (``exact_dist._kernel_rows``), so the
+    truncation moves (n-m) gamma by at most 2^-60 (1 + log(n/m)).  The
+    phase kq mod M is exact integer arithmetic, unlike u*k rounded inside
+    a direct e^{iuk}.
 
     The rows q of b_{k,q} are built once for all pairs, for k from the
     least m + 1 to the largest n.  A term's value and its stop depend on k
@@ -117,22 +117,10 @@ def gamma_grids(pairs, u_points: int):
         raise ValueError(f"need u_points >= 2, got {u_points}")
     M = 2 * (u_points - 1)
     k0 = min(m for m, _ in pairs) + 1
-    ks = np.arange(k0, max(n for _, n in pairs) + 1)
-    a = 1.0 / (ks - 1)
-    c = ks * a  # k a^q at q = 1
-    idx, coef = [ks % M], [a]
-    q = 1
-    while True:
-        # Term q+1 is kept while the tail past q, k a^{q+1}/(1-a), exceeds
-        # 2^-60 a; that falls with k, so the k still kept are a prefix.
-        live = np.count_nonzero(c > 2.0**-60 * (1.0 - a))
-        if not live:
-            break
-        ks, a = ks[:live], a[:live]
-        c = c[:live] * a
-        q += 1
+    idx, coef = [], []
+    for q, ks, b in _kernel_rows(k0, max(n for _, n in pairs)):
         idx.append(ks * q % M)
-        coef.append(c if q % 2 else -c)
+        coef.append(b)
     for m, n in pairs:
         # Entry i of a row is k = k0 + i, so the pair's k in (m, n] are one slice.
         own = slice(m + 1 - k0, n + 1 - k0)

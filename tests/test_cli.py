@@ -470,8 +470,19 @@ def test_readme_cli_examples_run(capsys):
 
 
 def test_a_bad_integer_list_is_a_usage_error(capsys):
-    with pytest.raises(SystemExit) as exc:
-        main(["llt-table", "--n", "1,x"])
-    assert exc.value.code == 2
+    for argv, message in ((["llt-table", "--n", "1,x"], "bad integer list '1,x'"),
+                          (["rho", "--x", "1,abc"], "bad number list '1,abc'")):
+        with pytest.raises(SystemExit) as exc:
+            main(argv)
+        assert exc.value.code == 2
+        out, err = capsys.readouterr()
+        assert out == "" and message in err and "<lambda>" not in err
+
+
+@pytest.mark.parametrize("argv", [["llt-table", "--x", "0"], ["aslt", "--x", "-1"]])
+def test_a_rejected_slope_is_one_error_line(capsys, argv):
+    # The x < 1 warning comes only after KappaSeq accepts the slope.
+    assert main(argv) == 2
     out, err = capsys.readouterr()
-    assert out == "" and "bad integer list '1,x'" in err
+    assert out == "" and len(err.splitlines()) == 1
+    assert err.startswith("error: target slope must be positive")

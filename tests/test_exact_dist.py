@@ -9,6 +9,7 @@ import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
+from dickmanlab import exact_dist
 from dickmanlab.audits import llt_table, run_calibration, w2_check
 from dickmanlab.dickman import build_rho_table, dickman_cdf
 from dickmanlab.exact_dist import (
@@ -17,6 +18,8 @@ from dickmanlab.exact_dist import (
     _chernoff_cap,
     _covariances,
     _dickman_tail,
+    _head_kernel,
+    _head_series,
     _kolmogorov_cap,
     _laws,
     _power_sum_cap,
@@ -229,11 +232,13 @@ def test_kolmogorov_distance_is_the_per_atom_loop(table, table16, m, n):
 
 
 # sha256 of laws and rows deep in the underflow regime, recorded before the
-# DP skipped its exactly-zero tail; an nz bound off by one moves them.
+# DP skipped its exactly-zero tail; an nz bound off by one moves them.  The
+# x = 1 rows from n = 2500 on read the head series (n >= SERIES_N0), so their
+# digest was recorded again when that route came in.
 PMF_600_SHA256 = "933fc6c4c165feefc85b11d4cad7eb6cef704332eb1bd38c2f1a0c746d99c6cf"
 LLT_ROWS_SHA256 = {
     (1, "exact-multiple", (150, 300, 600, 1250, 2500, 5000, 10000, 20000)):
-        "7f4e535e40fe1692b98c8b29a130a75cca47af1d517bdfac81f0722c18e4c95a",
+        "9116299c2260e3d2cf84ba084c5e934c1ba6d9fab34be068e90317b0136aa819",
     (1.775, "floor", (150, 300, 600, 1000, 2000, 4000)):
         "75e3a8ce90bf72718786a23f6fbfcf329eb43931862b43c34c887505e27ca89e",
 }
@@ -466,6 +471,103 @@ def test_diagonal_identity_below_n():
     rhs = np.array([j * book[0, j, j, j] for j in js])
     assert len(lhs) == n and rhs[1] == 0.0
     assert np.all(np.abs(lhs - rhs) <= 1e-13 * rhs)
+
+
+def series_bound(r, V):
+    """_head_series' stated relative bound on e_r, for 3 <= r < V <= 10^6."""
+    return (1 + math.log(r)) * (2.0**-43 + 2.0**-42 * math.sqrt(r) * math.log2(2 * V))
+
+
+def dp_only(monkeypatch):
+    monkeypatch.setattr(exact_dist, "SERIES_N0", 10**12)
+
+
+def test_head_series_is_the_exact_rational_product():
+    # E(z) = prod_{k>=3} (1 + z^k/(k-1)), expanded in Fractions to r < 400.
+    V = 400
+    e = [Fraction(1)] + [Fraction(0)] * (V - 1)
+    for k in range(3, V):
+        for r in range(V - 1, k - 1, -1):
+            e[r] += e[r - k] / (k - 1)
+    got = _head_series(V)
+    assert got[:3].tolist() == [1.0, 0.0, 0.0]
+    gaps = [abs(Fraction(got[r]) - e[r]) / e[r] for r in range(3, V)]
+    assert all(g <= series_bound(r, V) for r, g in enumerate(gaps, 3))
+    assert max(gaps) < 2e-15  # 8.3e-16 measured
+
+
+def test_head_series_is_the_naive_recurrence():
+    # r e_r = sum_s h_s e_{r-s}, one dot per r, against the blocked FFT form.
+    V = 3000
+    h = _head_kernel(V)
+    want = np.zeros(V)
+    want[0] = 1.0
+    for r in range(3, V):
+        want[r] = np.dot(h[1 : r + 1], want[r - 1 :: -1]) / r
+    got = _head_series(V)
+    assert np.all(np.abs(got[3:] - want[3:]) <= 1e-14 * want[3:])  # 9.9e-16 measured
+    # every e_r takes the same operations for any longer series
+    assert _head_series(20_000)[:V].tobytes() == got.tobytes()
+    assert _head_series(5).tobytes() == got[:5].tobytes()
+
+
+def test_head_kernel_sign_check_catches_the_k2_factor(monkeypatch):
+    # Keeping the factor 1 + z^2 inside E adds 2 (-1)^{q-1} at s = 2q: h_4 = 4/3 - 2.
+    def with_k2(size):
+        h = _head_kernel(size)
+        h[2::2] += 2.0 * (-1.0) ** np.arange(len(h[2::2]))
+        return h
+
+    assert np.all(_head_kernel(4000)[3:] > 0.449)  # least at s = 6
+    monkeypatch.setattr(exact_dist, "_head_kernel", with_k2)
+    with pytest.raises(ValueError, match=r"^h_4 = -0\.666"):
+        _head_series(1000)
+
+
+@pytest.mark.parametrize("x,mode", [(1, "floor"), (Fraction(2, 3), "floor"), (Fraction(1, 2), "round")])
+def test_series_atoms_meet_their_bound_against_the_dp(monkeypatch, x, mode):
+    N, N0, kappa = 20_000, exact_dist.SERIES_N0, KappaSeq(x, mode)
+    got = point_prob_scan(kappa, N)
+    dp_only(monkeypatch)
+    want = point_prob_scan(kappa, N)
+    assert got[: N0 - 1].tobytes() == want[: N0 - 1].tobytes()
+    ns = np.arange(N0, N + 1)
+    gap = np.abs(got[ns - 1] - want[ns - 1]) / want[ns - 1]
+    assert np.all(gap <= [series_bound(kappa(n), kappa(N) + 1) for n in ns])
+    assert gap.max() < 1e-13  # 2.4e-14 measured, the DP's own rounding
+
+
+def test_series_atoms_depend_on_the_atom_alone(dp_sweeps, table):
+    # Rows at n >= N0, v <= n, are read from the series; no DP sweep runs for them.
+    ns = [2001, 2500, 5000, 20_000]
+    rows = llt_table(KappaSeq(1), ns, table)
+    assert dp_sweeps == []
+    scan = point_prob_scan(KappaSeq(1), 20_000)
+    assert [r.lhs for r in rows] == [n * scan[n - 1] for n in ns]
+    atoms, read = _covariances(KappaSeq(1), [(10, 5000), (2500, 20_000)])
+    book = _laws(atoms)
+    assert book[0, 5000, 5000, 5000] == scan[4999] and book[0, 2500, 2500, 2500] == scan[2499]
+    # v = 0..3 from e_{-3}..e_2 = 0, 0, 0, 1, 0, 0 and e_0 = 1: P = 0, 1/n, 0, 1/n.
+    book = _laws((0, 3000, v, v) for v in range(4))
+    assert [3000 * book[0, 3000, v, v] for v in range(4)] == [0.0, 1.0, 0.0, 1.0]
+    # Atoms above n, and atoms of blocks with m > 0, stay on the DP.
+    assert _laws([(0, 3000, 3001, 3001)])[0, 3000, 3001, 3001] == _law(0, 3000, 3001)[3001]
+    assert _laws([(5, 3000, 2000, 2000)])[5, 3000, 2000, 2000] == _law(5, 3000, 2000)[2000]
+
+
+@pytest.mark.parametrize("n", [5000, 20_000])
+def test_covariances_that_mix_the_two_routes(monkeypatch, n):
+    # At n >= N0, x = 1, (0, n, kappa_n) comes from the series and (m, n, d, d)
+    # from the DP: cov = (m p_m) n (a - p_n) loses cond = max(a, p_n)/|a - p_n|.
+    m, kappa = 10, KappaSeq(1)
+    got = cov_Y(kappa, m, n)
+    dp_only(monkeypatch)
+    want = cov_Y(kappa, m, n)
+    book = _laws([(m, n, n - m, n - m), (0, n, n, n)])
+    a, p_n = book[m, n, n - m, n - m], book[0, n, n, n]
+    cond = max(a, p_n) / abs(a - p_n)
+    assert cond > 1e5  # 1.4e6 at n = 5000, 2.2e7 at 20000; the gaps were 2.2e-9 and 2.7e-8
+    assert abs(got - want) <= cond * series_bound(n, n + 1) * abs(want)
 
 
 @given(m=st.integers(min_value=0, max_value=6), span=st.integers(min_value=1, max_value=8))
